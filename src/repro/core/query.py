@@ -7,7 +7,8 @@ Three engines, one semantics:
 * :func:`query_batch_spark` — PSPC⁺'s parallel query workload: the same
   computation as a Spark DataFrame over ``(labels ⋈ labels ⋈ queries)``,
   i.e. the "divide and conquer strategy on the query workload" of Exp 3/9;
-* :data:`DUCKDB_QUERY_SQL` — the identical relational formulation for
+* :data:`DUCKDB_QUERY_SQL` — the same answers as SQL (the minimum joined
+  back to the pairs instead of ``min_by``) for
   ``repro.oracle.assert_equivalent``, so the Spark path is oracle-checked.
 
 ``weights`` (vertex multiplicities from the equivalence reduction) multiply a
@@ -68,14 +69,18 @@ def random_pairs(n: int, q: int, seed: int = 0) -> np.ndarray:
 
 #: DuckDB formulation used by the oracle: tables ``labels(vertex, hub, dist,
 #: cnt)`` and ``queries(qid, s, t)``. ``s == t`` pairs answer (0, 1) without
-#: touching the index, exactly like the python/Spark paths.
-DUCKDB_QUERY_SQL = """
+#: touching the index, and a pair with no common hub answers ``(INF, 0)``,
+#: exactly like the python/Spark paths.
+DUCKDB_QUERY_SQL = f"""
 WITH pairs AS (
   SELECT q.qid, a.dist + b.dist AS dist, a.cnt * b.cnt AS cnt
   FROM queries q
   JOIN labels a ON a.vertex = q.s
   JOIN labels b ON b.vertex = q.t AND b.hub = a.hub
   WHERE q.s <> q.t
+  UNION ALL
+  SELECT qid, CAST({INF} AS BIGINT) AS dist, CAST(0.0 AS DOUBLE) AS cnt
+  FROM queries WHERE s <> t
 ), m AS (
   SELECT qid, MIN(dist) AS dist FROM pairs GROUP BY qid
 ), hits AS (
@@ -96,8 +101,11 @@ def query_batch_spark(
     """Batch SPC evaluation in Spark: ``queries(qid, s, t)`` ×
     ``labels(vertex, hub, dist, cnt)`` → ``(qid, dist, spc)``.
 
-    Mirrors :data:`DUCKDB_QUERY_SQL` so the result is directly
-    oracle-checkable with ``assert_equivalent``.
+    Every query gets exactly one row; a pair with no common hub answers
+    ``(INF, 0)`` like :func:`query_single`. Counts are summed per
+    ``(qid, dist)`` and the row of the least distance kept (``min_by``), so
+    no aggregate is joined back. The rows equal :data:`DUCKDB_QUERY_SQL`'s,
+    which is oracle-checked with ``assert_equivalent``.
     """
     a = labels.select(
         F.col("vertex").alias("s"),
@@ -112,17 +120,15 @@ def query_batch_spark(
         F.col("cnt").alias("c2"),
     )
     ne = queries.where(F.col("s") != F.col("t"))
-    pairs = (
+    per_dist = (
         ne.join(a, on="s")
         .join(b, on=["t", "hub"])
-        .select("qid", (F.col("d1") + F.col("d2")).alias("dist"), (F.col("c1") * F.col("c2")).alias("cnt"))
+        .groupBy("qid", (F.col("d1") + F.col("d2")).alias("dist"))
+        .agg(F.sum(F.col("c1") * F.col("c2")).alias("spc"))
+        # one (INF, 0) row per pair: the whole answer when no hub is common
+        .unionByName(ne.select("qid", F.lit(INF).alias("dist"), F.lit(0.0).alias("spc")))
     )
-    m = pairs.groupBy("qid").agg(F.min("dist").alias("dist"))
-    hits = (
-        pairs.join(m, on=["qid", "dist"])
-        .groupBy("qid", "dist")
-        .agg(F.sum("cnt").alias("spc"))
-    )
+    hits = per_dist.groupBy("qid").agg(F.min("dist").alias("dist"), F.min_by("spc", "dist").alias("spc"))
     eq = queries.where(F.col("s") == F.col("t")).select(
         "qid", F.lit(0).cast("long").alias("dist"), F.lit(1.0).alias("spc")
     )

@@ -14,7 +14,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
+from pyspark.sql import SparkSession
 
+from repro.core.pspc_spark import build_pspc_spark
 from repro.graph.gframe import Graph
 from repro.graphgen.datasets import TABLE3_CODES, load
 from repro.ordering.degree import degree_order
@@ -48,6 +50,13 @@ def order_for(g: Graph, scheme: str, delta: int = DEFAULT_DELTA) -> np.ndarray:
     if scheme == "treedec":
         return elimination_order(g, max_fill_degree=64)
     raise ValueError(f"unknown ordering scheme {scheme!r}")
+
+
+def warm_up_spark_build(spark: SparkSession, n_landmarks: int) -> None:
+    """One untimed PSPC⁺ build on a 20-vertex star, so that the first timed
+    build of a session does not pay for JVM class loading and compilation."""
+    star = Graph.from_edges(np.array([[0, v] for v in range(1, 20)]), n=20, name="star20")
+    build_pspc_spark(spark, star, degree_order(star), n_landmarks=n_landmarks)
 
 
 def load_datasets(codes: list[str] | None = None, scale: float = DEFAULT_SCALE) -> dict[str, Graph]:

@@ -23,6 +23,7 @@ from repro.experiments.common import (
     load_datasets,
     order_for,
     timed,
+    warm_up_spark_build,
 )
 
 
@@ -35,6 +36,7 @@ def run(
     save: bool = True,
 ) -> pd.DataFrame:
     rows = []
+    warm_up_spark_build(spark, n_landmarks)
     for code, g in load_datasets(codes, scale).items():
         with timed() as t:
             order = order_for(g, "hybrid", delta)

@@ -3,10 +3,9 @@
 ``Graph`` keeps two synchronized views of the same undirected simple graph:
 
 * ``edges_df(spark)`` — a symmetric Spark DataFrame ``(src, dst)`` with both
-  orientations materialized (the natural shape for pull-based label
-  propagation: a join on ``src`` enumerates in-neighbours), and
+  orientations materialized (Table III's dataset statistics), and
 * ``adj()`` — a CSR-style numpy adjacency (``indptr``, ``nbrs``) for the
-  inherently sequential baselines (HP-SPC_s) and BFS oracles.
+  driver-side engines, the BFS oracles and PSPC⁺'s broadcast round kernel.
 
 Vertices are ``0..n-1`` and the graph is connected by construction (dataset
 registry passes everything through ``largest_component``).

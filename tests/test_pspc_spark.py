@@ -5,19 +5,24 @@ sequential engines under every schedule/landmark configuration — the paper's
 These run real multi-round Spark jobs, so the graphs are kept small and the
 configurations few-but-decisive.
 """
+import numpy as np
 import pytest
 
 from repro.core.hpspc import build_hpspc
 from repro.core.pspc_local import build_pspc_local
 from repro.core.pspc_spark import build_pspc_spark
+from repro.graph.gframe import Graph
 from repro.ordering.degree import degree_order
 from repro.ordering.hybrid import hybrid_order
-from tests.util import small_graph
+from tests.util import disjoint_union, path_graph, small_graph
 
 
-@pytest.mark.parametrize("kind,seed", [("er", 3), ("ba", 0)])
+@pytest.mark.parametrize("kind,seed", [("er", 3), ("ba", 0), ("er+ba", 1)])
 def test_spark_identical_to_sequential(spark, kind, seed):
-    g = small_graph(kind, seed, n=40)
+    if kind == "er+ba":  # two components: no label may cross between them
+        g = disjoint_union(small_graph("er", seed, n=20), small_graph("ba", seed, n=20))
+    else:
+        g = small_graph(kind, seed, n=40)
     order = degree_order(g)
     hp = build_hpspc(g, order)
     sp, stats = build_pspc_spark(spark, g, order)
@@ -46,3 +51,32 @@ def test_spark_rejects_bad_schedule(spark):
     g = small_graph("er", 5, n=20)
     with pytest.raises(ValueError):
         build_pspc_spark(spark, g, degree_order(g), schedule="magic")
+
+
+def test_spark_one_job_per_round(spark):
+    """Each distance round is one Spark job; the guard allows two more."""
+    sc = spark.sparkContext
+    g = small_graph("ws", 2, n=30)
+    sc.setJobGroup("pspc-spark-job-count", "build_pspc_spark job count")
+    try:
+        _, stats = build_pspc_spark(spark, g, degree_order(g), n_landmarks=4)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    jobs = sc.statusTracker().getJobIdsForGroup("pspc-spark-job-count")
+    assert 0 < len(jobs) <= len(stats.round_candidates) + 2
+
+
+def test_spark_max_rounds_raises_instead_of_truncating(spark):
+    g = path_graph(10)
+    with pytest.raises(RuntimeError):
+        build_pspc_spark(spark, g, degree_order(g), max_rounds=3)
+
+
+def test_spark_max_rounds_allows_empty_next_round(spark):
+    """A star converges in one round: ``max_rounds=1`` is the full index."""
+    g = Graph.from_edges(np.array([[0, v] for v in range(1, 20)]), n=20)
+    order = degree_order(g)
+    one, stats = build_pspc_spark(spark, g, order, max_rounds=1)
+    full, _ = build_pspc_spark(spark, g, order)
+    assert one.sorted_tuples() == full.sorted_tuples()
+    assert stats.rounds == 1 and stats.round_candidates[-1] == 0

@@ -9,6 +9,7 @@ from repro.core.bfs_oracle import all_pairs_spc
 from repro.core.pspc_local import build_pspc_local
 from repro.core.query import (
     DUCKDB_QUERY_SQL,
+    INF,
     query_batch_spark,
     query_many,
     query_single,
@@ -16,7 +17,7 @@ from repro.core.query import (
 )
 from repro.oracle import assert_equivalent
 from repro.ordering.degree import degree_order
-from tests.util import small_graph
+from tests.util import disjoint_union, small_graph
 
 
 def _index_and_pairs(kind, seed, n=32, q=60):
@@ -64,6 +65,26 @@ def test_query_many_matches_oracle(seed):
     for row in res.itertuples():
         assert row.dist == D[row.s, row.t]
         assert abs(row.spc - C[row.s, row.t]) < 1e-6
+
+
+def test_disconnected_pair_answered_alike(spark):
+    """A pair across two components: Spark, DuckDB and ``query_single`` all
+    answer ``(INF, 0)``, and every query gets exactly one row."""
+    left = small_graph("er", 0, n=16)
+    g = disjoint_union(left, small_graph("ba", 0, n=16))
+    index, _ = build_pspc_local(g, degree_order(g))
+    a = left.n  # first vertex of the second component
+    pairs = np.array([[0, a], [a + 1, 2], [1, 2], [a, a + 3], [4, 4], [a + 2, a + 2]])
+    labels = index.to_pandas()
+    queries = pd.DataFrame({"qid": np.arange(len(pairs)), "s": pairs[:, 0], "t": pairs[:, 1]})
+    got = query_batch_spark(spark, spark.createDataFrame(labels), spark.createDataFrame(queries))
+    assert_equivalent(got, DUCKDB_QUERY_SQL, labels=labels, queries=queries)
+    rows = got.toPandas().sort_values("qid").reset_index(drop=True)
+    assert rows["qid"].tolist() == list(range(len(pairs)))
+    ref = query_many(index, pairs)
+    assert rows["dist"].tolist() == ref["dist"].tolist()
+    assert rows["spc"].tolist() == ref["spc"].tolist()
+    assert query_single(index, 0, a) == (INF, 0.0)
 
 
 def test_query_identity_pair():

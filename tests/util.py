@@ -27,6 +27,11 @@ def small_graph(kind: str, seed: int, n: int = 40) -> Graph:
     return Graph(n=nn, edges=e, name=f"{kind}-{seed}")
 
 
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    """``a`` and ``b`` side by side, ``b``'s vertices shifted by ``a.n``."""
+    return Graph.from_edges(np.concatenate([a.edges, b.edges + a.n]), n=a.n + b.n)
+
+
 def path_graph(n: int) -> Graph:
     e = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     return Graph.from_edges(e, n=n)
