@@ -15,6 +15,7 @@ the distributed builder and to the DuckDB oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import pandas as pd
@@ -63,8 +64,18 @@ class LabelIndex:
         return out
 
     def to_pandas(self) -> pd.DataFrame:
-        rows = self.sorted_tuples()
-        return pd.DataFrame(rows, columns=["vertex", "hub", "dist", "cnt"])
+        """The rows of :meth:`sorted_tuples` as ``(vertex, hub, dist, cnt)``
+        columns of dtypes ``int64, int64, int64, float64``."""
+        lens = np.fromiter(map(len, self.maps), dtype=np.int64, count=self.n)
+        total = int(lens.sum())
+        vertex = np.repeat(np.arange(self.n, dtype=np.int64), lens)
+        hub = np.fromiter(chain.from_iterable(self.maps), dtype=np.int64, count=total)
+        values = chain.from_iterable(chain.from_iterable(m.values() for m in self.maps))
+        dc = np.fromiter(values, dtype=np.float64, count=2 * total).reshape(total, 2)
+        by = np.lexsort((hub, vertex))
+        return pd.DataFrame(
+            {"vertex": vertex[by], "hub": hub[by], "dist": dc[by, 0].astype(np.int64), "cnt": dc[by, 1]}
+        )
 
     def to_spark(self, spark: SparkSession) -> DataFrame:
         return spark.createDataFrame(self.to_pandas())

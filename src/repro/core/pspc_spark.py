@@ -19,7 +19,8 @@ Label Merging / Elimination         counts summed per ``(vertex, hub)``
                                     (``np.unique`` + ``np.bincount``)
 landmark filtering (§III-H)         keep ``LandmarkIndex.bound_matrix >= d``
                                     over the broadcast landmark distances
-query pruning (Lemma 4)             2-hop witness: each hub of the smaller of
+query pruning (Lemma 4)             2-hop witness (``twohop.common_hubs``):
+                                    each hub of the smaller of
                                     ``L(u)``, ``L(w)`` is looked up in the
                                     other by ``searchsorted`` on the
                                     broadcast ``L_{<d}``
@@ -45,8 +46,10 @@ import pandas as pd
 from pyspark import Broadcast, cloudpickle
 from pyspark.sql import SparkSession
 
+from repro.core import twohop
 from repro.core.labels import LabelIndex
 from repro.core.landmark import LandmarkIndex, build_landmarks
+from repro.core.twohop import common_hubs, gather
 from repro.graph.gframe import Graph
 
 #: candidates per landmark/witness batch inside a task; bounds the
@@ -65,28 +68,13 @@ class SparkBuildStats:
     t_construction: float = 0.0
 
 
-def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR entries of ``rows``, flattened: entry ``pos[i]`` belongs to
-    ``rows[owner[i]]``."""
-    lens = indptr[rows + 1] - indptr[rows]
-    owner = np.repeat(np.arange(len(rows)), lens)
-    pos = np.arange(len(owner)) + np.repeat(indptr[rows] - (np.cumsum(lens) - lens), lens)
-    return owner, pos
-
-
 def _witnessed(u: np.ndarray, w: np.ndarray, d: int, labels: tuple) -> np.ndarray:
     """Lemma 4 for candidates ``(u[i], w[i])``: does a hub ``h`` with
     ``L(u)[h] + L(w)[h] < d`` exist in ``L_{<d}``? ``labels`` is
     ``(indptr, key, dist)`` sorted by ``key = vertex * n + hub``."""
     indptr, key, dist = labels
-    n = len(indptr) - 1
-    small = indptr[u + 1] - indptr[u] <= indptr[w + 1] - indptr[w]
-    a, b = np.where(small, u, w), np.where(small, w, u)
-    i, p = _gather(indptr, a)
-    probe = b[i] * n + key[p] % n
-    j = np.minimum(np.searchsorted(key, probe), len(key) - 1)
-    hit = (key[j] == probe) & (dist[p] + dist[j] < d)
-    return np.bincount(i[hit], minlength=len(u)) > 0
+    i, p, j, hit = common_hubs(indptr, key, u, w)
+    return np.bincount(i[hit & (dist[p] + dist[j] < d)], minlength=len(u)) > 0
 
 
 def _round(
@@ -103,8 +91,8 @@ def _round(
     n = len(rank)
     f_indptr, f_hub, f_cnt = frontier
     # Pull (Def. 10): the round-(d-1) entries of every neighbour.
-    i, e = _gather(indptr, us)
-    j, p = _gather(f_indptr, nbrs[e])
+    i, e = gather(indptr, us)
+    j, p = gather(f_indptr, nbrs[e])
     u, w = us[i[j]], f_hub[p]
     keep = rank[w] < rank[u]  # Lemma 3 (covers w == u too)
     # Label Merging: the counts of one (vertex, hub) add up.
@@ -168,8 +156,8 @@ def build_pspc_spark(
 
     t0 = time.perf_counter()
     # The executors' Python workers need not have ``repro`` on their path,
-    # so the kernel and the landmark class travel by value.
-    for module in (__name__, LandmarkIndex.__module__):
+    # so the kernel, the 2-hop probe and the landmark class travel by value.
+    for module in (__name__, twohop.__name__, LandmarkIndex.__module__):
         cloudpickle.register_pickle_by_value(sys.modules[module])
     sc = spark.sparkContext
     parts = sc.defaultParallelism

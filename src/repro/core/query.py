@@ -4,24 +4,35 @@ Three engines, one semantics:
 
 * :func:`query_single` — the paper's µs-level per-query loop (scan the two
   label maps, keep the min distance, sum products at the min);
-* :func:`query_batch_spark` — PSPC⁺'s parallel query workload: the same
-  computation as a Spark DataFrame over ``(labels ⋈ labels ⋈ queries)``,
-  i.e. the "divide and conquer strategy on the query workload" of Exp 3/9;
-* :data:`DUCKDB_QUERY_SQL` — the same answers as SQL (the minimum joined
-  back to the pairs instead of ``min_by``) for
-  ``repro.oracle.assert_equivalent``, so the Spark path is oracle-checked.
+* :func:`query_batch_spark` — PSPC⁺'s parallel query workload, the "divide
+  and conquer strategy on the query workload" of Exp 3: the index is
+  broadcast once as sorted CSR arrays and one ``mapInPandas`` pass answers
+  every query partition with the vectorized 2-hop probe of
+  :mod:`repro.core.twohop`;
+* :data:`DUCKDB_QUERY_SQL` — the same answers as a relational join
+  (``queries ⋈ labels ⋈ labels``, the minimum joined back to the pairs) for
+  ``repro.oracle.assert_equivalent``, so the Spark path is checked against an
+  independent formulation.
+
+Every engine answers ``(0, 1)`` for ``s == t`` and ``(INF, 0)`` for a pair
+with no common hub, including a pair whose id has no label rows.
 
 ``weights`` (vertex multiplicities from the equivalence reduction) multiply a
 hub's contribution when the hub is an internal vertex of the recombined path.
 """
 from __future__ import annotations
 
+import sys
+from typing import Iterator
+
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast, cloudpickle
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
+from repro.core import twohop
 from repro.core.labels import LabelIndex
+from repro.core.twohop import common_hubs
 
 INF = np.iinfo(np.int64).max
 
@@ -95,43 +106,69 @@ FROM queries WHERE s = t
 """
 
 
+def _answer(index: tuple, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equations 1–2 for the pairs ``(s[k], t[k])`` over the CSR index
+    ``(indptr, key = vertex * n + hub, dist, cnt)``: arrays ``(dist, spc)``.
+    An id outside ``0..n-1`` has no hub, so its pair answers ``(INF, 0)``
+    unless ``s == t``."""
+    indptr, key, dist, cnt = index
+    n = len(indptr) - 1
+    best = np.full(len(s), INF, dtype=np.int64)
+    k = np.flatnonzero((s != t) & (s >= 0) & (s < n) & (t >= 0) & (t < n))
+    i, p, j, hit = common_hubs(indptr, key, s[k], t[k])
+    q, p, j = k[i[hit]], p[hit], j[hit]
+    d = dist[p] + dist[j]
+    np.minimum.at(best, q, d)
+    at = d == best[q]
+    spc = np.bincount(q[at], weights=cnt[p[at]] * cnt[j[at]], minlength=len(s))
+    eq = s == t
+    best[eq], spc[eq] = 0, 1.0
+    return best, spc
+
+
+def _kernel(index: Broadcast):
+    """The ``mapInPandas`` body: each batch of ``(qid, s, t)`` rows becomes
+    its ``(qid, dist, spc)`` answers."""
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        csr = index.value
+        for pdf in batches:
+            dist, spc = _answer(csr, pdf["s"].to_numpy(np.int64), pdf["t"].to_numpy(np.int64))
+            yield pd.DataFrame({"qid": pdf["qid"], "dist": dist, "spc": spc})
+
+    return run
+
+
 def query_batch_spark(
     spark: SparkSession, labels: DataFrame, queries: DataFrame
 ) -> DataFrame:
     """Batch SPC evaluation in Spark: ``queries(qid, s, t)`` ×
-    ``labels(vertex, hub, dist, cnt)`` → ``(qid, dist, spc)``.
+    ``labels(vertex, hub, dist, cnt)`` → ``(qid, dist, spc)``, one row per
+    query, equal to :data:`DUCKDB_QUERY_SQL`'s rows.
 
-    Every query gets exactly one row; a pair with no common hub answers
-    ``(INF, 0)`` like :func:`query_single`. Counts are summed per
-    ``(qid, dist)`` and the row of the least distance kept (``min_by``), so
-    no aggregate is joined back. The rows equal :data:`DUCKDB_QUERY_SQL`'s,
-    which is oracle-checked with ``assert_equivalent``.
+    ``labels`` is collected here, once, and broadcast as the CSR that
+    :func:`_answer` reads, with ``n = max(vertex, hub) + 1``; the returned
+    DataFrame is one ``mapInPandas`` stage over ``queries``, with no shuffle.
+    Like :func:`~repro.core.pspc_spark.build_pspc_spark`, this assumes the
+    index fits in driver and executor memory. The broadcast is not
+    unpersisted here, because the returned DataFrame is lazy; Spark's cleaner
+    drops it once the plan is unreachable.
     """
-    a = labels.select(
-        F.col("vertex").alias("s"),
-        F.col("hub"),
-        F.col("dist").alias("d1"),
-        F.col("cnt").alias("c1"),
+    pdf = labels.select("vertex", "hub", "dist", "cnt").toPandas()
+    vertex, hub = pdf["vertex"].to_numpy(np.int64), pdf["hub"].to_numpy(np.int64)
+    n = int(max(vertex.max(), hub.max())) + 1 if len(pdf) else 0
+    key = vertex * n + hub
+    by_key = np.argsort(key)
+    key = key[by_key]
+    csr = (
+        np.searchsorted(key, np.arange(n + 1) * n),
+        key,
+        pdf["dist"].to_numpy(np.int64)[by_key],
+        pdf["cnt"].to_numpy(np.float64)[by_key],
     )
-    b = labels.select(
-        F.col("vertex").alias("t"),
-        F.col("hub"),
-        F.col("dist").alias("d2"),
-        F.col("cnt").alias("c2"),
-    )
-    ne = queries.where(F.col("s") != F.col("t"))
-    per_dist = (
-        ne.join(a, on="s")
-        .join(b, on=["t", "hub"])
-        .groupBy("qid", (F.col("d1") + F.col("d2")).alias("dist"))
-        .agg(F.sum(F.col("c1") * F.col("c2")).alias("spc"))
-        # one (INF, 0) row per pair: the whole answer when no hub is common
-        .unionByName(ne.select("qid", F.lit(INF).alias("dist"), F.lit(0.0).alias("spc")))
-    )
-    hits = per_dist.groupBy("qid").agg(F.min("dist").alias("dist"), F.min_by("spc", "dist").alias("spc"))
-    eq = queries.where(F.col("s") == F.col("t")).select(
-        "qid", F.lit(0).cast("long").alias("dist"), F.lit(1.0).alias("spc")
-    )
-    return hits.select(
-        "qid", F.col("dist").cast("long").alias("dist"), F.col("spc").cast("double").alias("spc")
-    ).unionByName(eq)
+    # The executors' Python workers need not have ``repro`` on their path,
+    # so the kernel and the 2-hop probe travel by value.
+    for module in (__name__, twohop.__name__):
+        cloudpickle.register_pickle_by_value(sys.modules[module])
+    index = spark.sparkContext.broadcast(csr)
+    return queries.select("qid", "s", "t").mapInPandas(_kernel(index), "qid long, dist long, spc double")

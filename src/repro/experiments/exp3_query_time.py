@@ -8,8 +8,8 @@ query independent → divide and conquer). Three numbers per dataset:
 * ``us_20t_model`` — the 20-thread dynamic-dispatch model (consistent with
   the Exp 4/9 thread methodology);
 * ``us_spark_batch`` — measured amortized per-query cost of the Spark batch
-  evaluation (real parallel path; includes job overhead, so it only wins at
-  large batch sizes).
+  evaluation (real parallel path: the labels collect and broadcast plus one
+  ``mapInPandas`` job, whose fixed cost is included).
 """
 from __future__ import annotations
 
@@ -61,11 +61,13 @@ def run(
             qdf = spark.createDataFrame(
                 pd.DataFrame({"qid": np.arange(len(pairs)), "s": pairs[:, 0], "t": pairs[:, 1]})
             )
+            # untimed: the first batch query of a session starts the Python workers
+            query_batch_spark(spark, labels_df, qdf).count()
             with timed() as t:
                 out = query_batch_spark(spark, labels_df, qdf)
                 n_res = out.count()
             us_spark = t() / n_queries * 1e6
-            assert n_res >= n_queries - 1  # connected graphs: all answered
+            assert n_res == n_queries  # one answer row per query
         rows.append(
             {
                 "dataset": code,

@@ -82,3 +82,5 @@ def test_label_count_accounting():
     pdf = index.to_pandas()
     assert len(pdf) == index.n_entries
     assert set(pdf.columns) == {"vertex", "hub", "dist", "cnt"}
+    assert list(pdf.itertuples(index=False, name=None)) == index.sorted_tuples()
+    assert pdf.dtypes.astype(str).tolist() == ["int64", "int64", "int64", "float64"]

@@ -29,7 +29,7 @@ def _index_and_pairs(kind, seed, n=32, q=60):
 
 @pytest.mark.parametrize("kind,seed", [("er", 0), ("er", 1), ("ba", 0), ("ws", 0)])
 def test_spark_batch_matches_duckdb_oracle(spark, kind, seed):
-    """The Spark 2-hop batch evaluation vs the identical SQL in DuckDB."""
+    """The Spark 2-hop batch evaluation vs the join formulation in DuckDB."""
     g, index, pairs = _index_and_pairs(kind, seed)
     labels = index.to_pandas()
     queries = pd.DataFrame({"qid": np.arange(len(pairs)), "s": pairs[:, 0], "t": pairs[:, 1]})
@@ -68,23 +68,46 @@ def test_query_many_matches_oracle(seed):
 
 
 def test_disconnected_pair_answered_alike(spark):
-    """A pair across two components: Spark, DuckDB and ``query_single`` all
-    answer ``(INF, 0)``, and every query gets exactly one row."""
+    """A pair across two components, or with an id outside ``0..n-1``:
+    Spark, DuckDB and ``query_single`` all answer ``(INF, 0)`` (``(0, 1)``
+    when ``s == t``), and every query gets exactly one row."""
     left = small_graph("er", 0, n=16)
     g = disjoint_union(left, small_graph("ba", 0, n=16))
     index, _ = build_pspc_local(g, degree_order(g))
-    a = left.n  # first vertex of the second component
+    a, n = left.n, g.n  # first vertex of the second component, first id past the graph
     pairs = np.array([[0, a], [a + 1, 2], [1, 2], [a, a + 3], [4, 4], [a + 2, a + 2]])
+    outside = np.array([[-1, 3], [5, n], [n, n], [-1, -1]])
     labels = index.to_pandas()
-    queries = pd.DataFrame({"qid": np.arange(len(pairs)), "s": pairs[:, 0], "t": pairs[:, 1]})
+    both = np.concatenate([pairs, outside])
+    queries = pd.DataFrame({"qid": np.arange(len(both)), "s": both[:, 0], "t": both[:, 1]})
     got = query_batch_spark(spark, spark.createDataFrame(labels), spark.createDataFrame(queries))
     assert_equivalent(got, DUCKDB_QUERY_SQL, labels=labels, queries=queries)
     rows = got.toPandas().sort_values("qid").reset_index(drop=True)
-    assert rows["qid"].tolist() == list(range(len(pairs)))
+    assert rows["qid"].tolist() == list(range(len(both)))
     ref = query_many(index, pairs)
-    assert rows["dist"].tolist() == ref["dist"].tolist()
-    assert rows["spc"].tolist() == ref["spc"].tolist()
+    assert rows["dist"].tolist()[: len(pairs)] == ref["dist"].tolist()
+    assert rows["spc"].tolist()[: len(pairs)] == ref["spc"].tolist()
+    assert list(zip(rows["dist"], rows["spc"]))[len(pairs) :] == [(INF, 0.0), (INF, 0.0), (0, 1.0), (0, 1.0)]
     assert query_single(index, 0, a) == (INF, 0.0)
+
+
+def test_spark_batch_is_one_stage_per_job(spark):
+    """The batch query is the labels collect plus one kernel job, each a
+    single stage: no shuffle."""
+    g, index, pairs = _index_and_pairs("ba", 1)
+    labels = spark.createDataFrame(index.to_pandas())
+    queries = spark.createDataFrame(pd.DataFrame({"qid": np.arange(len(pairs)), "s": pairs[:, 0], "t": pairs[:, 1]}))
+    sc = spark.sparkContext
+    sc.setJobGroup("spark-batch-job-shape", "query_batch_spark job shape")
+    try:
+        got = query_batch_spark(spark, labels, queries).toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup("spark-batch-job-shape")
+    assert 0 < len(jobs) <= 2
+    assert [len(tracker.getJobInfo(j).stageIds) for j in jobs] == [1] * len(jobs)
+    assert len(got) == len(pairs)
 
 
 def test_query_identity_pair():
