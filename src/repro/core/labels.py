@@ -8,9 +8,10 @@ Exact Shortest Path Covering (Definition 2 of the paper): every shortest
 2-hop query (Equations 1–2) returns the exact count.
 
 ``LabelIndex`` is the in-driver representation (per-vertex hub→(dist, count)
-maps, optimal for the µs-level query loop the paper times); conversion to and
-from the Spark/pandas relational form ``(vertex, hub, dist, cnt)`` bridges to
-the distributed builder and to the DuckDB oracle.
+maps, optimal for the µs-level query loop the paper times). It is built from
+the per-round label arrays of the PSPC round loop (``from_rounds``); the
+relational form ``(vertex, hub, dist, cnt)`` bridges to Spark and to the
+DuckDB oracle.
 """
 from __future__ import annotations
 
@@ -81,16 +82,15 @@ class LabelIndex:
         return spark.createDataFrame(self.to_pandas())
 
     @classmethod
-    def from_records(
-        cls, n: int, rank: np.ndarray, records: "pd.DataFrame | list[tuple]"
-    ) -> "LabelIndex":
-        """Build from relational rows ``(vertex, hub, dist, cnt)`` — the shape
-        the Spark builder produces."""
-        maps: list[dict[int, tuple[int, float]]] = [dict() for _ in range(n)]
-        if isinstance(records, pd.DataFrame):
-            it = records[["vertex", "hub", "dist", "cnt"]].itertuples(index=False)
-        else:
-            it = iter(records)
-        for v, w, d, c in it:
-            maps[int(v)][int(w)] = (int(d), float(c))
-        return cls(n=n, rank=np.asarray(rank), maps=maps)
+    def from_rounds(
+        cls, rank: np.ndarray, rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ) -> LabelIndex:
+        """Build from the label arrays ``(vertex, hub, cnt)`` of distance
+        rounds ``0, 1, 2, …``, the shape the round loop produces; each map
+        lists its hubs by distance, then in row order."""
+        rank = np.asarray(rank)
+        maps: list[dict[int, tuple[int, float]]] = [dict() for _ in range(len(rank))]
+        for d, (u, w, cnt) in enumerate(rounds):
+            for v, h, c in zip(u.tolist(), w.tolist(), cnt.tolist()):
+                maps[v][h] = (d, c)
+        return cls(n=len(rank), rank=rank, maps=maps)

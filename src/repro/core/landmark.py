@@ -35,24 +35,10 @@ class LandmarkIndex:
     def k(self) -> int:
         return len(self.landmarks)
 
-    def upper_bound(self, u: int, w: int) -> int:
-        """min over landmarks of ``d(u,ℓ)+d(ℓ,w)`` — an upper bound on
-        ``dist(u, w)`` (equality if some shortest path passes a landmark)."""
-        if self.k == 0:
-            return INF_I32
-        s = self.dist[:, u].astype(np.int64) + self.dist[:, w].astype(np.int64)
-        return int(s.min())
-
-    def bound_from(self, u: int, ws: np.ndarray) -> np.ndarray:
-        """Vectorized bounds from one vertex ``u`` to many hubs ``ws`` — the
-        per-vertex batch used inside a propagation round."""
-        if self.k == 0:
-            return np.full(len(ws), INF_I32, dtype=np.int64)
-        du = self.dist[:, u].astype(np.int64)[:, None]  # (k, 1)
-        return (du + self.dist[:, ws].astype(np.int64)).min(axis=0)
-
     def bound_matrix(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`upper_bound` for candidate arrays."""
+        """``min`` over landmarks ``ℓ`` of ``d(u, ℓ) + d(ℓ, w)`` per pair
+        ``(us[i], ws[i])``: an upper bound on ``dist(u, w)``, tight if some
+        shortest path passes a landmark; ``INF_I32`` with no landmarks."""
         if self.k == 0:
             return np.full(len(us), INF_I32, dtype=np.int64)
         du = self.dist[:, us].astype(np.int64)  # (k, q)
@@ -62,10 +48,9 @@ class LandmarkIndex:
 
 def build_landmarks(g: Graph, k: int, seed: int = 0) -> LandmarkIndex:
     """Top-``k``-degree landmark selection + one BFS per landmark."""
-    if k <= 0:
-        return LandmarkIndex(np.array([], dtype=np.int64), np.zeros((0, g.n), dtype=np.int32))
-    deg = g.degrees()
     # Stable, deterministic tie-break by vertex id.
-    top = np.lexsort((np.arange(g.n), -deg))[: min(k, g.n)]
-    dist = np.stack([bfs_levels(g, int(v)) for v in top]).astype(np.int32)
+    top = np.lexsort((np.arange(g.n), -g.degrees()))[: max(0, min(k, g.n))]
+    dist = np.zeros((len(top), g.n), dtype=np.int32)
+    for i, v in enumerate(top):
+        dist[i] = bfs_levels(g, int(v))
     return LandmarkIndex(landmarks=top.astype(np.int64), dist=dist)

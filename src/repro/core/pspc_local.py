@@ -1,36 +1,53 @@
-"""PSPC — the paper's parallel algorithm, single-thread reference engine.
+"""PSPC — the paper's distance-round label propagation and its round kernel.
 
-This is the "PSPC (1 thread)" row of Exp 1: the *same* distance-iteration
-label propagation that PSPC⁺ runs distributed, executed as a python loop.
-Round ``d`` (Definition 8, pull paradigm):
+One distance round (Definition 8, pull paradigm) is the numpy kernel
+:func:`_round`, and one driver loop, :func:`propagate`, runs the rounds.
+:func:`build_pspc_local` is the "PSPC (1 thread)" row of Exp 1: the loop with
+the kernel over all vertices on the driver. PSPC⁺
+(:mod:`repro.core.pspc_spark`) is the same loop with the same kernel run as
+one Spark job per round. Round ``d``:
 
-1. every vertex ``u`` pulls the round-``(d-1)`` labels of its neighbours and
-   **merges duplicates** (Label Merging: same hub ⇒ counts add — realized by
-   the dict aggregation; Label Elimination is implicit because a hub already
-   present in ``L(u)`` at a smaller distance is pruned by the query below);
-2. candidates with ``rank(hub) >= rank(u)`` are dropped (Lemma 3);
-3. a candidate ``(u, w, d)`` is dropped iff ``Query(w, u, L_{<d}) < d``
-   (Lemma 4) — optionally short-circuited by the landmark filter;
-4. survivors become ``L_d(u)`` and the next round's frontier.
+1. every vertex ``u`` pulls the round-``(d-1)`` labels of its neighbours
+   (the frontier CSR);
+2. entries with ``rank(hub) >= rank(u)`` are dropped (Lemma 3);
+3. **Label Merging**: the counts of one ``(u, hub)`` add up. Label
+   Elimination is implicit, because a hub already in ``L(u)`` at a smaller
+   distance is its own 2-hop witness below;
+4. a candidate ``(u, w)`` is dropped if a landmark certifies
+   ``dist(u, w) < d`` (§III-H), and otherwise iff ``Query(w, u, L_{<d}) < d``
+   (Lemma 4), a 2-hop witness probe on the sorted ``L_{<d}``;
+5. survivors are ``L_d(u)`` and the next round's frontier.
 
-No candidate in round ``d`` reads anything written in round ``d`` — the
+No candidate in round ``d`` reads anything written in round ``d``: the
 distance dependency (Theorem 3) replaced the order dependency, which is the
-entire point of the paper. The engine also records ``work[d][u]`` = number of
-candidate entries vertex ``u`` processed in round ``d``; the thread-scaling
+entire point of the paper. :class:`BuildStats` records, per round and per
+vertex, the frontier entries pulled past rank pruning; the thread-scaling
 experiments (Exp 4/5b) replay these work vectors through
 :mod:`repro.sim.threads`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.core.labels import LabelIndex
 from repro.core.landmark import LandmarkIndex
+from repro.core.twohop import common_hubs, gather
 from repro.graph.gframe import Graph
 
-INF = float("inf")
+#: candidates per landmark/witness batch of one round; bounds the
+#: (landmarks × batch) bound matrix and the witness probe arrays
+BATCH = 1 << 14
+
+#: ``(indptr, hub, cnt)``: the CSR of the last round's labels
+Frontier = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``(indptr, key, dist)``: the CSR of ``L_{<d}``, sorted by
+#: ``key = vertex * n + hub``
+Labels = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``(vertex, hub, cnt)`` of the labels one round emits
+Emitted = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -38,11 +55,123 @@ class BuildStats:
     """Per-round instrumentation emitted by :func:`build_pspc_local`."""
 
     rounds: int = 0
-    #: work[d] is a dict vertex -> candidate entries processed in round d+1
-    work: list[dict[int, int]] = field(default_factory=list)
+    #: work[d][u]: frontier entries vertex u pulled past rank pruning in
+    #: round d+1; one array per round run, ending with the empty round
+    work: list[np.ndarray] = field(default_factory=list)
     candidates_total: int = 0
     pruned_by_landmark: int = 0
     pruned_by_query: int = 0
+
+
+def rank_of(order: np.ndarray) -> np.ndarray:
+    """``rank[v]``: the position of ``v`` in ``order`` (0 = top hub)."""
+    order = np.asarray(order, dtype=np.int64)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank
+
+
+def _witnessed(u: np.ndarray, w: np.ndarray, d: int, labels: Labels) -> np.ndarray:
+    """Lemma 4 for candidates ``(u[i], w[i])``: does a hub ``h`` with
+    ``L(u)[h] + L(w)[h] < d`` exist in ``L_{<d}``?"""
+    indptr, key, dist = labels
+    i, p, j, hit = common_hubs(indptr, key, u, w)
+    return np.bincount(i[hit & (dist[p] + dist[j] < d)], minlength=len(u)) > 0
+
+
+def pull_edges(g: Graph, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency of the vertices ``us``, flattened: ``us[src[k]]`` –
+    ``dst[k]`` for every edge, in the order the round kernel pulls them."""
+    indptr, nbrs = g.adj()
+    src, e = gather(indptr, us)
+    return src, nbrs[e]
+
+
+def _round(
+    us: np.ndarray,
+    d: int,
+    edges: tuple,
+    frontier: Frontier,
+    labels: Labels,
+    lm: LandmarkIndex | None,
+    weights: np.ndarray | None = None,
+) -> tuple[Emitted, tuple[int, int, int, np.ndarray]]:
+    """The labels at distance ``d`` of the vertices ``us``, as arrays
+    ``(vertex, hub, cnt)`` sorted by ``(vertex, hub)``, and the round's
+    counters ``(merged, pruned_by_landmark, pruned_by_query, pulls)``, where
+    ``pulls[k]`` counts the entries ``us[k]`` pulled past rank pruning.
+
+    ``edges`` is ``(rank, *pull_edges(g, us))``. ``weights`` are the
+    multiplicities of the equivalence reduction (§IV-B): extending a path
+    through a neighbour ``v`` that is not its hub scales its count by
+    ``weights[v]``.
+    """
+    rank, src, v = edges
+    n = len(rank)
+    f_indptr, f_hub, f_cnt = frontier
+    # Pull (Def. 10): the round-(d-1) entries of every neighbour.
+    j, p = gather(f_indptr, v)
+    owner, w = src[j], f_hub[p]
+    u = us[owner]
+    keep = rank[w] < rank[u]  # Lemma 3 (covers w == u too)
+    pulls = np.bincount(owner[keep], minlength=len(us))
+    u, w, c = u[keep], w[keep], f_cnt[p[keep]]
+    if weights is not None:
+        v = v[j[keep]]
+        c = np.where(w == v, c, c * weights[v])
+    # Label Merging: the counts of one (vertex, hub) add up.
+    key, inv = np.unique(u * n + w, return_inverse=True)
+    cnt = np.bincount(inv, weights=c, minlength=len(key))
+    u, w = key // n, key % n
+    alive = np.empty(len(key), dtype=bool)
+    by_landmark = 0
+    for lo in range(0, len(key), BATCH):
+        bu, bw = u[lo : lo + BATCH], w[lo : lo + BATCH]
+        if lm is None:
+            alive[lo : lo + BATCH] = ~_witnessed(bu, bw, d, labels)
+            continue
+        # §III-H: a landmark certifies dist(u, w) < d
+        ok = lm.bound_matrix(bu, bw) >= d
+        by_landmark += len(ok) - int(ok.sum())
+        ok[ok] = ~_witnessed(bu[ok], bw[ok], d, labels)
+        alive[lo : lo + BATCH] = ok
+    emitted = int(alive.sum())
+    by_query = len(key) - by_landmark - emitted
+    return (u[alive], w[alive], cnt[alive]), (len(key), by_landmark, by_query, pulls)
+
+
+def propagate(
+    rank: np.ndarray, run_round: Callable[[int, Frontier, Labels], Emitted], max_rounds: int
+) -> LabelIndex:
+    """Run distance rounds ``d = 1, 2, …`` until one emits no label.
+
+    ``run_round(d, frontier, labels)`` returns round ``d``'s labels
+    ``(vertex, hub, cnt)`` sorted by ``(vertex, hub)``. Raises
+    ``RuntimeError`` if round ``max_rounds + 1`` still emits labels, instead
+    of returning a partial index.
+    """
+    n = len(rank)
+    ids = np.arange(n, dtype=np.int64)
+    bounds = np.arange(n + 1)
+    # L_0: every vertex is its own hub.
+    rounds: list[Emitted] = [(ids, ids, np.ones(n))]
+    frontier = (bounds, ids, np.ones(n))
+    labels = (bounds, ids * (n + 1), np.zeros(n, dtype=np.int32))
+    for d in range(1, max_rounds + 2):
+        u, w, cnt = run_round(d, frontier, labels)
+        if len(u) == 0:
+            break
+        if d > max_rounds:
+            raise RuntimeError(f"round {d} still emitted {len(u)} labels after max_rounds={max_rounds}")
+        rounds.append((u, w, cnt))
+        frontier = (np.searchsorted(u, bounds), w, cnt)
+        # Merge L_d into the sorted L_{<d}: a stable sort of two sorted runs.
+        key = np.concatenate([labels[1], u * n + w])
+        by_key = np.argsort(key, kind="stable")
+        dist = np.concatenate([labels[2], np.full(len(u), d, dtype=np.int32)])
+        key, dist = key[by_key], dist[by_key]
+        labels = (np.searchsorted(key, bounds * n), key, dist)
+    return LabelIndex.from_rounds(rank, rounds)
 
 
 def build_pspc_local(
@@ -50,7 +179,6 @@ def build_pspc_local(
     order: np.ndarray,
     landmarks: LandmarkIndex | None = None,
     weights: np.ndarray | None = None,
-    collect_work: bool = False,
 ) -> tuple[LabelIndex, BuildStats]:
     """Distance-round ESPC construction; returns the index plus round stats.
 
@@ -58,78 +186,21 @@ def build_pspc_local(
     reduction (§IV-B): extending a path through vertex ``v`` multiplies its
     count by ``weights[v]``.
     """
-    n = g.n
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.asarray(order)] = np.arange(n)
-    indptr, nbrs = g.adj()
-    maps: list[dict[int, tuple[int, float]]] = [{u: (0, 1.0)} for u in range(n)]
-    # frontier[u]: dict hub -> count of trough paths of length d-1
-    frontier: list[dict[int, float]] = [{u: 1.0} for u in range(n)]
+    rank = rank_of(order)
+    us = np.arange(g.n, dtype=np.int64)
+    edges = (rank, *pull_edges(g, us))
     stats = BuildStats()
-    d = 0
-    while True:
-        d += 1
-        nxt: list[dict[int, float]] = [dict() for _ in range(n)]
-        work: dict[int, int] = {}
-        alive = False
-        for u in range(n):
-            ru = rank[u]
-            cand: dict[int, float] = {}
-            n_seen = 0
-            for v in nbrs[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                fv = frontier[v]
-                if not fv:
-                    continue
-                # Path u–v–…–w: v becomes internal (unless v == w, i.e. the
-                # one-edge path), so its multiplicity scales the counts.
-                wv = 1.0 if weights is None else float(weights[v])
-                for w, c in fv.items():
-                    if rank[w] >= ru:  # Lemma 3 (covers w == u too)
-                        continue
-                    n_seen += 1
-                    f = 1.0 if w == v else wv
-                    cand[w] = cand.get(w, 0.0) + c * f  # Label Merging
-            if not cand:
-                continue
-            stats.candidates_total += len(cand)
-            if collect_work:
-                work[u] = n_seen
-            Lu = maps[u]
-            # Landmark prefilter, batched per vertex: an exact distance
-            # through any landmark below d certifies dist(u, w) < d without
-            # touching labels (§III-H).
-            if landmarks is not None and landmarks.k > 0:
-                ws_arr = np.fromiter(cand.keys(), dtype=np.int64, count=len(cand))
-                bounds = landmarks.bound_from(u, ws_arr)
-                keep = bounds >= d
-                stats.pruned_by_landmark += int((~keep).sum())
-                cand = {int(w): cand[int(w)] for w in ws_arr[keep]}
-            for w, c in cand.items():
-                # Query(w, u, L_{<d}) — scan the smaller label map.
-                Lw = maps[w]
-                a, b = (Lu, Lw) if len(Lu) <= len(Lw) else (Lw, Lu)
-                q = INF
-                for h, (d1, _) in a.items():
-                    hit = b.get(h)
-                    if hit is not None and d1 + hit[0] < q:
-                        q = d1 + hit[0]
-                        if q < d:
-                            break
-                if q < d:
-                    stats.pruned_by_query += 1
-                    continue
-                nxt[u][w] = c
-                alive = True
-        if collect_work:
-            stats.work.append(work)
-        if not alive:
-            break
-        stats.rounds = d
-        # Commit round d: labels at distance exactly d (no intra-round reads
-        # happened above — Theorem 3's independence).
-        for u in range(n):
-            for w, c in nxt[u].items():
-                maps[u][w] = (d, c)
-        frontier = nxt
-    return LabelIndex(n=n, rank=rank, maps=maps), stats
+
+    def run_round(d: int, frontier: Frontier, labels: Labels) -> Emitted:
+        emitted, counters = _round(us, d, edges, frontier, labels, landmarks, weights)
+        merged, by_landmark, by_query, pulls = counters
+        stats.candidates_total += merged
+        stats.pruned_by_landmark += by_landmark
+        stats.pruned_by_query += by_query
+        stats.work.append(pulls)
+        return emitted
+
+    # The rounds are at most the diameter, which is below n.
+    index = propagate(rank, run_round, g.n)
+    stats.rounds = len(stats.work) - 1  # work ends with the empty round
+    return index, stats

@@ -1,34 +1,30 @@
 """PSPC⁺ — the parallel label construction, one Spark job per distance round.
 
 This is the reproduction's realization of the paper's multi-thread algorithm
-as distributed dataflow (the ``repro`` target). Round ``d`` reads only labels
-at distance ``< d`` (Theorem 3), so all vertices of a round are independent:
-the driver broadcasts ``L_{<d}`` and the round-``(d-1)`` frontier, and one
-``mapInPandas`` task per core computes the round's labels for its block of
-vertices in numpy — the broadcast-labels-plus-local-prune pattern of
-parallel PLL (Akiba et al., SIGMOD'13, §6):
+as distributed dataflow (the ``repro`` target). It is the round loop of
+:mod:`repro.core.pspc_local` with a distributed round: round ``d`` reads only
+labels at distance ``< d`` (Theorem 3), so all vertices of a round are
+independent. The driver broadcasts ``L_{<d}`` and the round-``(d-1)``
+frontier, and one ``mapInPandas`` task per core runs the round kernel
+``pspc_local._round`` for its block of vertices — the
+broadcast-labels-plus-local-prune pattern of parallel PLL (Akiba et al.,
+SIGMOD'13, §6):
 
 ==================================  =========================================
 paper concept                       realization
 ==================================  =========================================
 pull-based propagation (Def. 10)    a task gathers its vertices' neighbours'
-                                    frontier entries (broadcast CSR
-                                    adjacency and frontier)
-rank pruning (Lemma 3)              keep ``rank[hub] < rank[vertex]``
-Label Merging / Elimination         counts summed per ``(vertex, hub)``
-                                    (``np.unique`` + ``np.bincount``)
-landmark filtering (§III-H)         keep ``LandmarkIndex.bound_matrix >= d``
-                                    over the broadcast landmark distances
-query pruning (Lemma 4)             2-hop witness (``twohop.common_hubs``):
-                                    each hub of the smaller of
-                                    ``L(u)``, ``L(w)`` is looked up in the
-                                    other by ``searchsorted`` on the
-                                    broadcast ``L_{<d}``
+                                    frontier entries (broadcast per-block
+                                    edge lists and frontier CSR)
+rank pruning, Label Merging,        the kernel ``pspc_local._round``, the
+landmark filtering, query pruning   same one ``build_pspc_local`` runs
+(Lemmas 3–4, §III-H)                over all vertices on the driver
 schedule plan (§III-F)              ``static``: one contiguous rank block per
                                     task; ``dynamic``: vertices dealt to the
                                     tasks round-robin in rank order
 round barrier                       the job's ``toPandas``: its rows are the
-                                    next frontier, appended on the driver
+                                    next frontier, merged on the driver by
+                                    ``pspc_local.propagate``
 ==================================  =========================================
 
 The result is bit-identical to the sequential engines regardless of
@@ -46,15 +42,11 @@ import pandas as pd
 from pyspark import Broadcast, cloudpickle
 from pyspark.sql import SparkSession
 
-from repro.core import twohop
+from repro.core import pspc_local, twohop
 from repro.core.labels import LabelIndex
 from repro.core.landmark import LandmarkIndex, build_landmarks
-from repro.core.twohop import common_hubs, gather
+from repro.core.pspc_local import Emitted, Frontier, Labels, _round, propagate, pull_edges, rank_of
 from repro.graph.gframe import Graph
-
-#: candidates per landmark/witness batch inside a task; bounds the
-#: (landmarks × batch) bound matrix and the witness probe arrays
-BATCH = 1 << 14
 
 
 @dataclass
@@ -68,59 +60,18 @@ class SparkBuildStats:
     t_construction: float = 0.0
 
 
-def _witnessed(u: np.ndarray, w: np.ndarray, d: int, labels: tuple) -> np.ndarray:
-    """Lemma 4 for candidates ``(u[i], w[i])``: does a hub ``h`` with
-    ``L(u)[h] + L(w)[h] < d`` exist in ``L_{<d}``? ``labels`` is
-    ``(indptr, key, dist)`` sorted by ``key = vertex * n + hub``."""
-    indptr, key, dist = labels
-    i, p, j, hit = common_hubs(indptr, key, u, w)
-    return np.bincount(i[hit & (dist[p] + dist[j] < d)], minlength=len(u)) > 0
-
-
-def _round(
-    us: np.ndarray,
-    d: int,
-    graph: tuple,
-    frontier: tuple,
-    labels: tuple,
-    lm: LandmarkIndex | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The labels at distance ``d`` of the vertices ``us``, as arrays
-    ``(vertex, hub, cnt)`` sorted by ``(vertex, hub)``."""
-    rank, indptr, nbrs = graph
-    n = len(rank)
-    f_indptr, f_hub, f_cnt = frontier
-    # Pull (Def. 10): the round-(d-1) entries of every neighbour.
-    i, e = gather(indptr, us)
-    j, p = gather(f_indptr, nbrs[e])
-    u, w = us[i[j]], f_hub[p]
-    keep = rank[w] < rank[u]  # Lemma 3 (covers w == u too)
-    # Label Merging: the counts of one (vertex, hub) add up.
-    key, inv = np.unique(u[keep] * n + w[keep], return_inverse=True)
-    cnt = np.bincount(inv, weights=f_cnt[p][keep], minlength=len(key))
-    u, w = key // n, key % n
-    alive = np.ones(len(key), dtype=bool)
-    for lo in range(0, len(key), BATCH):
-        bu, bw = u[lo : lo + BATCH], w[lo : lo + BATCH]
-        ok = np.ones(len(bu), dtype=bool)
-        if lm is not None:  # §III-H: a landmark certifies dist(u, w) < d
-            ok = lm.bound_matrix(bu, bw) >= d
-        ok[ok] = ~_witnessed(bu[ok], bw[ok], d, labels)
-        alive[lo : lo + BATCH] = ok
-    return u[alive], w[alive], cnt[alive]
-
-
 def _kernel(build: Broadcast, rnd: Broadcast, d: int):
     """The ``mapInPandas`` body of round ``d``: each input row is a block id,
     each output batch that block's round-``d`` labels."""
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rank, indptr, nbrs, landmarks, blocks = build.value
+        rank, landmarks, blocks = build.value
         lm = None if landmarks is None else LandmarkIndex(*landmarks)
         frontier, labels = rnd.value
         for pdf in batches:
             for b in pdf["id"].tolist():
-                u, w, c = _round(blocks[b], d, (rank, indptr, nbrs), frontier, labels, lm)
+                us, src, dst = blocks[b]
+                (u, w, c), _ = _round(us, d, (rank, src, dst), frontier, labels, lm)
                 yield pd.DataFrame({"vertex": u, "hub": w, "cnt": c})
 
     return run
@@ -145,10 +96,8 @@ def build_pspc_spark(
     if schedule not in ("static", "dynamic"):
         raise ValueError(f"unknown schedule {schedule!r}")
     stats = SparkBuildStats()
-    n = g.n
     order = np.asarray(order, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    rank = rank_of(order)
 
     t0 = time.perf_counter()
     lm = build_landmarks(g, n_landmarks) if n_landmarks > 0 else None
@@ -157,7 +106,7 @@ def build_pspc_spark(
     t0 = time.perf_counter()
     # The executors' Python workers need not have ``repro`` on their path,
     # so the kernel, the 2-hop probe and the landmark class travel by value.
-    for module in (__name__, twohop.__name__, LandmarkIndex.__module__):
+    for module in (__name__, pspc_local.__name__, twohop.__name__, LandmarkIndex.__module__):
         cloudpickle.register_pickle_by_value(sys.modules[module])
     sc = spark.sparkContext
     parts = sc.defaultParallelism
@@ -165,45 +114,30 @@ def build_pspc_spark(
         blocks = np.array_split(order, parts)
     else:
         blocks = [order[k::parts] for k in range(parts)]
+    blocks = [(us, *pull_edges(g, us)) for us in blocks]
     landmarks = None if lm is None else (lm.landmarks, lm.dist)
-    build = sc.broadcast((rank, *g.adj(), landmarks, blocks))
+    build = sc.broadcast((rank, landmarks, blocks))
     tasks = spark.range(parts, numPartitions=parts)
-
-    # L_0: every vertex is its own hub. ``frontier`` is the CSR
-    # (indptr, hub, cnt) of the last round's labels, ``labels`` the CSR
-    # (indptr, key = vertex * n + hub, dist) of L_{<d}.
-    ids = np.arange(n, dtype=np.int64)
-    rows = [(ids, ids, np.zeros(n, dtype=np.int32), np.ones(n))]
-    frontier = (np.arange(n + 1), ids, np.ones(n))
-    labels = (np.arange(n + 1), ids * (n + 1), np.zeros(n, dtype=np.int32))
     schema = "vertex long, hub long, cnt double"
-    try:
-        for d in range(1, max_rounds + 2):
-            rnd = sc.broadcast((frontier, labels))
-            try:
-                pdf = tasks.mapInPandas(_kernel(build, rnd, d), schema).toPandas()
-            finally:
-                rnd.unpersist()
-            stats.round_candidates.append(len(pdf))
-            if len(pdf) == 0:
-                break
-            if d > max_rounds:
-                raise RuntimeError(f"round {d} still emitted {len(pdf)} labels after max_rounds={max_rounds}")
-            stats.rounds = d
-            key = pdf["vertex"].to_numpy() * n + pdf["hub"].to_numpy()
-            by_key = np.argsort(key)
-            key, cnt = key[by_key], pdf["cnt"].to_numpy()[by_key]
-            u, w = key // n, key % n
-            dist = np.full(len(key), d, dtype=np.int32)
-            rows.append((u, w, dist, cnt))
-            frontier = (np.searchsorted(u, np.arange(n + 1)), w, cnt)
-            key = np.concatenate([labels[1], key])
-            by_key = np.argsort(key)
-            key, dist = key[by_key], np.concatenate([labels[2], dist])[by_key]
-            labels = (np.searchsorted(key, np.arange(n + 1) * n), key, dist)
-    finally:
-        build.unpersist()
-    stats.t_construction = time.perf_counter() - t0
 
-    pdf = pd.DataFrame(dict(zip(["vertex", "hub", "dist", "cnt"], map(np.concatenate, zip(*rows)))))
-    return LabelIndex.from_records(n, rank, pdf), stats
+    def run_round(d: int, frontier: Frontier, labels: Labels) -> Emitted:
+        # destroy(), not unpersist(): only destroy deletes the broadcast's
+        # pickle file from the driver's temp directory.
+        rnd = sc.broadcast((frontier, labels))
+        try:
+            pdf = tasks.mapInPandas(_kernel(build, rnd, d), schema).toPandas()
+        finally:
+            rnd.destroy()
+        stats.round_candidates.append(len(pdf))
+        # Each task's rows come sorted; sort the round's rows across tasks.
+        u, w, cnt = pdf["vertex"].to_numpy(), pdf["hub"].to_numpy(), pdf["cnt"].to_numpy()
+        by_key = np.argsort(u * len(rank) + w)
+        return u[by_key], w[by_key], cnt[by_key]
+
+    try:
+        index = propagate(rank, run_round, max_rounds)
+    finally:
+        build.destroy()
+    stats.rounds = len(stats.round_candidates) - 1
+    stats.t_construction = time.perf_counter() - t0
+    return index, stats

@@ -2,8 +2,8 @@
 
 The paper sweeps 1–20 threads on FB, GO, GW, WI and reports 16.7 / 11.8 /
 11.9 / 15.4 index speedups at 20 threads. Here the per-round per-vertex work
-of the *real* PSPC run (candidate entries processed — collected by
-``build_pspc_local(collect_work=True)``) is replayed through the §III-F
+of the *real* PSPC run (candidate entries processed — ``BuildStats.work`` of
+``build_pspc_local``) is replayed through the §III-F
 schedule model (see ``repro/sim/threads.py`` and DESIGN.md §3 for why the
 sweep is modelled rather than re-run: a live ``local[*]`` session cannot vary
 its core count).
@@ -45,7 +45,7 @@ def run(
     for code, g in load_datasets(codes or EXP4_CODES, scale).items():
         order = order_for(g, "hybrid", delta)
         lm = build_landmarks(g, n_landmarks)
-        index, stats = build_pspc_local(g, order, landmarks=lm, collect_work=True)
+        index, stats = build_pspc_local(g, order, landmarks=lm)
         rank = index.rank
         idx_curve = speedup_curve(stats.work, threads, "dynamic", rank, g.n)
         pairs = random_pairs(g.n, n_queries, seed=7)

@@ -44,15 +44,14 @@ def run(
         # (a) landmark labeling on/off.
         with timed() as t:
             lm = build_landmarks(g, n_landmarks)
-            _, stats_ll = build_pspc_local(g, order, landmarks=lm, collect_work=True)
+            index, stats_ll = build_pspc_local(g, order, landmarks=lm)
         t_ll = t()
         with timed() as t:
             build_pspc_local(g, order, landmarks=None)
         t_nll = t()
         # (b) schedule plans, modelled at 20 threads on the measured work.
-        rank = _rank_of(order, g.n)
-        t20_dyn = simulate_index_time(stats_ll.work, 20, "dynamic", rank, g.n)
-        t20_sta = simulate_index_time(stats_ll.work, 20, "static", rank, g.n)
+        t20_dyn = simulate_index_time(stats_ll.work, 20, "dynamic", index.rank, g.n)
+        t20_sta = simulate_index_time(stats_ll.work, 20, "static", index.rank, g.n)
         # (c) node orders (ordering time included, as in Exp 1).
         t_orders = {}
         for scheme in ("degree", "treedec", "hybrid"):
@@ -74,10 +73,3 @@ def run(
         )
     return emit(pd.DataFrame(rows), "exp5_ablation", save)
 
-
-def _rank_of(order, n):
-    import numpy as np
-
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.asarray(order)] = np.arange(n)
-    return rank

@@ -1,8 +1,8 @@
 """Driver-side graph algorithms over :class:`repro.graph.gframe.Graph`.
 
 These are the substrate the index builders stand on: BFS levels (landmark
-distances, diameter estimation), connected components, k-core / 1-shell
-peeling (§IV-A of the paper) and neighbourhood-equivalence classes (§IV-B).
+distances, diameter estimation), connected components, 1-shell peeling
+(§IV-A of the paper) and neighbourhood-equivalence classes (§IV-B).
 All of them run on the CSR adjacency — they are O(n+m) utilities, not the
 contribution, so the driver is the right place for them; the Spark-facing
 pieces live in the index builders themselves.
@@ -122,26 +122,6 @@ def one_shell_peel(g: Graph) -> dict:
             anchor[p] = x
             depth[p] = i
     return {"core_mask": alive, "parent": parent, "anchor": anchor, "depth": depth}
-
-
-def k_core_mask(g: Graph, k: int) -> np.ndarray:
-    """Bool mask of vertices in the k-core (iterative min-degree peeling)."""
-    deg = g.degrees().astype(np.int64).copy()
-    indptr, nbrs = g.adj()
-    alive = np.ones(g.n, dtype=bool)
-    stack = list(np.flatnonzero(deg < k))
-    while stack:
-        v = int(stack.pop())
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for u in nbrs[indptr[v] : indptr[v + 1]]:
-            u = int(u)
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] < k:
-                    stack.append(u)
-    return alive
 
 
 def equivalence_classes(g: Graph) -> np.ndarray:

@@ -84,13 +84,3 @@ class Graph:
     def edges_df(self, spark: SparkSession) -> DataFrame:
         """Symmetric edge DataFrame ``(src: long, dst: long)``."""
         return spark.createDataFrame(self.edges_pdf())
-
-    def degrees_df(self, spark: SparkSession) -> DataFrame:
-        """Vertex degrees via Spark aggregation: ``(vertex, degree)``."""
-        return (
-            self.edges_df(spark)
-            .groupBy("src")
-            .count()
-            .withColumnRenamed("src", "vertex")
-            .withColumnRenamed("count", "degree")
-        )

@@ -28,36 +28,34 @@ import numpy as np
 
 
 def round_makespan(
-    tasks: dict[int, int],
+    work: np.ndarray,
     threads: int,
     schedule: str,
     rank: np.ndarray | None = None,
     n: int | None = None,
 ) -> float:
-    """Makespan of one round's vertex tasks on ``threads`` workers."""
-    if not tasks:
-        return 0.0
+    """Makespan of one round's vertex tasks on ``threads`` workers;
+    ``work[v]`` is the load of vertex ``v`` (0 for a vertex with no task)."""
+    work = np.asarray(work)
     if threads <= 1:
-        return float(sum(tasks.values()))
+        return float(work.sum())
     if schedule == "static":
         if rank is None or n is None:
             raise ValueError("static schedule needs rank and n")
-        loads = np.zeros(threads)
         block = max(1, -(-n // threads))  # ceil(n / t)
-        for v, w in tasks.items():
-            loads[min(threads - 1, rank[v] // block)] += w
-        return float(loads.max())
+        owner = np.minimum(threads - 1, rank // block)
+        return float(np.bincount(owner, weights=work, minlength=threads).max())
     if schedule == "dynamic":
         heap = [0.0] * threads
         heapq.heapify(heap)
-        for w in sorted(tasks.values(), reverse=True):
+        for w in sorted(work[work > 0].tolist(), reverse=True):
             heapq.heappush(heap, heapq.heappop(heap) + w)
         return float(max(heap))
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
 def simulate_index_time(
-    work: list[dict[int, int]],
+    work: list[np.ndarray],
     threads: int,
     schedule: str = "dynamic",
     rank: np.ndarray | None = None,
@@ -65,19 +63,14 @@ def simulate_index_time(
     barrier_frac: float = 0.02,
 ) -> float:
     """Modelled index-construction time (work units) for ``threads`` workers."""
-    total = sum(sum(r.values()) for r in work)
-    rounds = max(1, sum(1 for r in work if r))
-    barrier = barrier_frac * total / rounds if threads > 1 else 0.0
-    t = 0.0
-    for r in work:
-        if not r:
-            continue
-        t += round_makespan(r, threads, schedule, rank, n) + barrier
-    return t
+    total = sum(int(r.sum()) for r in work)
+    busy = [r for r in work if r.any()]
+    barrier = barrier_frac * total / max(1, len(busy)) if threads > 1 else 0.0
+    return sum(round_makespan(r, threads, schedule, rank, n) + barrier for r in busy)
 
 
 def speedup_curve(
-    work: list[dict[int, int]],
+    work: list[np.ndarray],
     thread_counts: list[int],
     schedule: str = "dynamic",
     rank: np.ndarray | None = None,

@@ -1,5 +1,5 @@
-"""Graph-algorithm substrate: BFS, components, diameter, 1-shell peeling,
-k-core and neighbourhood-equivalence classes."""
+"""Graph-algorithm substrate: BFS, components, diameter, 1-shell peeling
+and neighbourhood-equivalence classes."""
 import numpy as np
 import pytest
 
@@ -83,18 +83,6 @@ def test_one_shell_invariants(seed):
             for _ in range(int(r["depth"][v])):
                 x = int(r["parent"][x])
             assert x == a
-
-
-def test_k_core_complete():
-    g = complete_graph(6)
-    assert alg.k_core_mask(g, 5).all()
-    assert not alg.k_core_mask(g, 6).any()
-
-
-def test_k_core_lollipop():
-    e = np.array([[0, 1], [1, 2], [0, 2], [2, 3], [3, 4]])
-    g = Graph.from_edges(e, n=5)
-    assert set(np.flatnonzero(alg.k_core_mask(g, 2))) == {0, 1, 2}
 
 
 def test_equivalence_open_twins():

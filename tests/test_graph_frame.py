@@ -1,9 +1,8 @@
-"""Graph container tests, incl. the Spark degree aggregation oracle-checked
-against DuckDB over the same edge table."""
+"""Graph container tests: CSR adjacency, degrees and the symmetric Spark
+edge view."""
 import numpy as np
 import pytest
 
-from repro.oracle import assert_equivalent
 from tests.util import complete_graph, path_graph, small_graph
 
 
@@ -40,18 +39,6 @@ def test_path_graph_shape():
 def test_complete_graph_shape():
     g = complete_graph(6)
     assert g.m == 15 and (g.degrees() == 5).all()
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_degrees_df_oracle(spark, seed):
-    """Spark degree aggregation == DuckDB aggregation over the edge table."""
-    g = small_graph("ba", seed)
-    got = g.degrees_df(spark)
-    assert_equivalent(
-        got,
-        "SELECT src AS vertex, COUNT(*) AS degree FROM edges GROUP BY src",
-        edges=g.edges_pdf(),
-    )
 
 
 def test_symmetric_edges_double(spark):

@@ -1,56 +1,48 @@
 """The DuckDB oracle itself: passes on equal results, fails loudly on row or
-column drift — so a green oracle check means something."""
-import pandas as pd
+column drift — so a green oracle check means something. The tables are the
+relational form ``(vertex, hub, dist, cnt)`` of a small ESPC index."""
 import pytest
 
+from repro.core.pspc_local import build_pspc_local
 from repro.oracle import assert_equivalent
-from repro.synth_data import lineitem, orders
+from repro.ordering.degree import degree_order
+from tests.util import small_graph
+
+PER_VERTEX_SQL = "SELECT vertex, COUNT(*) AS entries FROM labels GROUP BY vertex"
 
 
-def test_oracle_passes_on_equal(spark):
-    li = lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").count().withColumnRenamed("count", "cnt")
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM li GROUP BY l_returnflag",
-        li=li,
-    )
+@pytest.fixture(scope="module")
+def labels():
+    g = small_graph("ba", 0, n=30)
+    index, _ = build_pspc_local(g, degree_order(g))
+    return index.to_pandas()
 
 
-def test_oracle_detects_wrong_rows(spark):
-    li = lineitem(spark, sf=0.001)
+def test_oracle_passes_on_equal(spark, labels):
+    df = spark.createDataFrame(labels)
+    got = df.groupBy("vertex").count().withColumnRenamed("count", "entries")
+    assert_equivalent(got, PER_VERTEX_SQL, labels=df)
+
+
+def test_oracle_detects_wrong_rows(spark, labels):
+    df = spark.createDataFrame(labels)
     wrong = (
-        li.groupBy("l_returnflag")
+        df.groupBy("vertex")
         .count()
-        .withColumnRenamed("count", "cnt")
-        .selectExpr("l_returnflag", "cnt + 1 AS cnt")
+        .withColumnRenamed("count", "entries")
+        .selectExpr("vertex", "entries + 1 AS entries")
     )
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, COUNT(*) AS cnt FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(wrong, PER_VERTEX_SQL, labels=df)
 
 
-def test_oracle_detects_column_mismatch(spark):
-    li = lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").count()
+def test_oracle_detects_column_mismatch(spark, labels):
+    df = spark.createDataFrame(labels)
+    got = df.groupBy("vertex").count()
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, COUNT(*) AS cnt FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(got, PER_VERTEX_SQL, labels=df)
 
 
-def test_oracle_accepts_pandas_tables(spark):
-    pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
-    got = spark.createDataFrame(pdf).groupBy("k").sum("v").withColumnRenamed("sum(v)", "s")
-    assert_equivalent(got, "SELECT k, SUM(v) AS s FROM t GROUP BY k", t=pdf)
-
-
-def test_synth_orders_deterministic(spark):
-    a = orders(spark, sf=0.001).toPandas()
-    b = orders(spark, sf=0.001).toPandas()
-    pd.testing.assert_frame_equal(a, b)
+def test_oracle_accepts_pandas_tables(spark, labels):
+    got = spark.createDataFrame(labels).groupBy("vertex").sum("cnt").withColumnRenamed("sum(cnt)", "paths")
+    assert_equivalent(got, "SELECT vertex, SUM(cnt) AS paths FROM labels GROUP BY vertex", labels=labels)

@@ -69,9 +69,10 @@ def test_rounds_bounded_by_diameter():
 
 def test_work_stats_cover_candidates():
     g = small_graph("er", 1, n=40)
-    _, stats = build_pspc_local(g, degree_order(g), collect_work=True)
-    assert len(stats.work) >= stats.rounds
-    total = sum(sum(r.values()) for r in stats.work)
+    _, stats = build_pspc_local(g, degree_order(g))
+    assert len(stats.work) == stats.rounds + 1  # ends with the empty round
+    assert all(r.shape == (g.n,) for r in stats.work)
+    total = sum(int(r.sum()) for r in stats.work)
     assert total > 0
     assert stats.candidates_total <= total  # merged candidates ≤ raw pulls
 

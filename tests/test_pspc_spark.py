@@ -5,10 +5,13 @@ sequential engines under every schedule/landmark configuration — the paper's
 These run real multi-round Spark jobs, so the graphs are kept small and the
 configurations few-but-decisive.
 """
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.hpspc import build_hpspc
+from repro.core.landmark import build_landmarks
 from repro.core.pspc_local import build_pspc_local
 from repro.core.pspc_spark import build_pspc_spark
 from repro.graph.gframe import Graph
@@ -80,3 +83,30 @@ def test_spark_max_rounds_allows_empty_next_round(spark):
     full, _ = build_pspc_spark(spark, g, order)
     assert one.sorted_tuples() == full.sorted_tuples()
     assert stats.rounds == 1 and stats.round_candidates[-1] == 0
+
+
+DEGENERATE = {
+    "empty": Graph.from_edges(np.zeros((0, 2), dtype=np.int64), n=0),
+    "single": Graph.from_edges(np.zeros((0, 2), dtype=np.int64), n=1),
+    "path+isolated": Graph.from_edges(np.array([[0, 1], [1, 2]]), n=5),
+}
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_degenerate_graphs_identical(spark, name, k):
+    """n = 0, n = 1 and isolated vertices: every engine builds the same index."""
+    g = DEGENERATE[name]
+    order = degree_order(g)
+    hp = build_hpspc(g, order)
+    ps, _ = build_pspc_local(g, order, landmarks=build_landmarks(g, k))
+    sp, _ = build_pspc_spark(spark, g, order, n_landmarks=k)
+    assert hp.sorted_tuples() == ps.sorted_tuples() == sp.sorted_tuples()
+
+
+def test_spark_build_leaves_no_broadcast_files(spark):
+    """Every broadcast of a build is destroyed, which deletes its pickle."""
+    temp_dir = spark.sparkContext._temp_dir
+    before = len(os.listdir(temp_dir))
+    build_pspc_spark(spark, path_graph(10), degree_order(path_graph(10)))
+    assert len(os.listdir(temp_dir)) == before
