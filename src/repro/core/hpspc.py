@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.labels import LabelIndex
+from repro.core.pspc_local import rank_of
 from repro.graph.gframe import Graph
 
 INF = float("inf")
@@ -30,8 +31,7 @@ def build_hpspc(g: Graph, order: np.ndarray) -> LabelIndex:
     non-canonical ESPC labels — the same sets PSPC reconstructs in parallel.
     """
     n = g.n
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    rank = rank_of(order, n)
     indptr, nbrs = g.adj()
     maps: list[dict[int, tuple[int, float]]] = [dict() for _ in range(n)]
 

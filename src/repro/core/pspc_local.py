@@ -63,11 +63,14 @@ class BuildStats:
     pruned_by_query: int = 0
 
 
-def rank_of(order: np.ndarray) -> np.ndarray:
-    """``rank[v]``: the position of ``v`` in ``order`` (0 = top hub)."""
+def rank_of(order: np.ndarray, n: int) -> np.ndarray:
+    """``rank[v]``: the position of ``v`` in ``order`` (0 = top hub). Raises
+    ``ValueError`` unless ``order`` is a permutation of ``0..n-1``."""
     order = np.asarray(order, dtype=np.int64)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
+    if not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"order is not a permutation of the {n} vertices")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     return rank
 
 
@@ -186,7 +189,7 @@ def build_pspc_local(
     reduction (§IV-B): extending a path through vertex ``v`` multiplies its
     count by ``weights[v]``.
     """
-    rank = rank_of(order)
+    rank = rank_of(order, g.n)
     us = np.arange(g.n, dtype=np.int64)
     edges = (rank, *pull_edges(g, us))
     stats = BuildStats()

@@ -1,4 +1,4 @@
-"""PSPC⁺ — the parallel label construction, one Spark job per distance round.
+"""PSPC⁺ — the parallel label construction, one Spark job per large distance round.
 
 This is the reproduction's realization of the paper's multi-thread algorithm
 as distributed dataflow (the ``repro`` target). It is the round loop of
@@ -25,10 +25,19 @@ schedule plan (§III-F)              ``static``: one contiguous rank block per
 round barrier                       the job's ``toPandas``: its rows are the
                                     next frontier, merged on the driver by
                                     ``pspc_local.propagate``
+executor gate (the barrier's cost   before each round, the frontier entries
+kept below the round's work)        all vertices would pull; below
+                                    ``DRIVER_ROUND_PULLS`` the round runs the
+                                    kernel over all vertices on the driver,
+                                    as ``build_pspc_local`` does, and at or
+                                    above it as one Spark job
 ==================================  =========================================
 
-The result is bit-identical to the sequential engines regardless of
-parallelism — the paper's Exp 2 invariant, enforced by tests.
+A Spark job costs 0.12–0.23 s however little its round computes, where the
+paper's thread barrier costs microseconds; the gate keeps that fixed cost off
+rounds too small to repay it. The result is bit-identical to the sequential
+engines regardless of parallelism and of which executor ran which round —
+the paper's Exp 2 invariant, enforced by tests.
 """
 from __future__ import annotations
 
@@ -40,7 +49,7 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark import Broadcast, cloudpickle
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import pspc_local, twohop
 from repro.core.labels import LabelIndex
@@ -56,8 +65,16 @@ class SparkBuildStats:
     rounds: int = 0
     #: labels emitted in each round run, ending with the empty round
     round_candidates: list[int] = field(default_factory=list)
+    #: whether each round run ran as a Spark job (else on the driver)
+    on_spark: list[bool] = field(default_factory=list)
     t_landmarks: float = 0.0
     t_construction: float = 0.0
+
+
+#: estimated frontier entries pulled per round at or above which the round
+#: runs as a Spark job. Below it the driver kernel beats a job's fixed cost;
+#: measured crossover 0.6–1.5M on 4 cores (EXPERIMENTS.md, Exp 1).
+DRIVER_ROUND_PULLS = 1_000_000
 
 
 def _kernel(build: Broadcast, rnd: Broadcast, d: int):
@@ -77,6 +94,58 @@ def _kernel(build: Broadcast, rnd: Broadcast, d: int):
     return run
 
 
+@dataclass
+class _SparkRounds:
+    """Rounds run as one Spark job each. The set-up they share — pickling by
+    value, the per-task blocks, the ``build`` broadcast and the task rows —
+    is made at the first such round, so a build whose rounds all run on the
+    driver starts no Spark job and writes no broadcast file."""
+
+    spark: SparkSession
+    g: Graph
+    order: np.ndarray
+    rank: np.ndarray
+    lm: LandmarkIndex | None
+    schedule: str
+    build: Broadcast | None = None
+    tasks: DataFrame | None = None
+
+    def _start(self) -> None:
+        # The executors' Python workers need not have ``repro`` on their path,
+        # so the kernel, the 2-hop probe and the landmark class travel by value.
+        for module in (__name__, pspc_local.__name__, twohop.__name__, LandmarkIndex.__module__):
+            cloudpickle.register_pickle_by_value(sys.modules[module])
+        parts = self.spark.sparkContext.defaultParallelism
+        if self.schedule == "static":
+            blocks = np.array_split(self.order, parts)
+        else:
+            blocks = [self.order[k::parts] for k in range(parts)]
+        blocks = [(us, *pull_edges(self.g, us)) for us in blocks]
+        landmarks = None if self.lm is None else (self.lm.landmarks, self.lm.dist)
+        self.build = self.spark.sparkContext.broadcast((self.rank, landmarks, blocks))
+        self.tasks = self.spark.range(parts, numPartitions=parts)
+
+    def __call__(self, d: int, frontier: Frontier, labels: Labels) -> Emitted:
+        if self.build is None:
+            self._start()
+        rnd = self.spark.sparkContext.broadcast((frontier, labels))
+        try:
+            schema = "vertex long, hub long, cnt double"
+            pdf = self.tasks.mapInPandas(_kernel(self.build, rnd, d), schema).toPandas()
+        finally:
+            rnd.destroy()
+        # Each task's rows come sorted; sort the round's rows across tasks.
+        u, w, cnt = pdf["vertex"].to_numpy(), pdf["hub"].to_numpy(), pdf["cnt"].to_numpy()
+        by_key = np.argsort(u * len(self.rank) + w)
+        return u[by_key], w[by_key], cnt[by_key]
+
+    def close(self) -> None:
+        # destroy(), not unpersist(): only destroy deletes the broadcast's
+        # pickle file from the driver's temp directory.
+        if self.build is not None:
+            self.build.destroy()
+
+
 def build_pspc_spark(
     spark: SparkSession,
     g: Graph,
@@ -84,60 +153,49 @@ def build_pspc_spark(
     n_landmarks: int = 0,
     schedule: str = "dynamic",
     max_rounds: int = 256,
+    driver_pulls: float = DRIVER_ROUND_PULLS,
 ) -> tuple[LabelIndex, SparkBuildStats]:
     """Build the ESPC index with distance-round distributed propagation.
 
     Parameters mirror the paper's knobs: ``n_landmarks`` (0 disables the LL
     phase), ``schedule`` ∈ {"static", "dynamic"} (§III-F), and the vertex
-    ``order`` computed by any scheme in :mod:`repro.ordering`. Raises
-    ``RuntimeError`` if round ``max_rounds + 1`` still emits labels, instead
-    of returning a partial index.
+    ``order`` computed by any scheme in :mod:`repro.ordering`. A round whose
+    vertices would pull fewer than ``driver_pulls`` frontier entries runs on
+    the driver; ``0`` runs every round as a Spark job, ``math.inf`` none.
+    Raises ``RuntimeError`` if round ``max_rounds + 1`` still emits labels,
+    instead of returning a partial index.
     """
     if schedule not in ("static", "dynamic"):
         raise ValueError(f"unknown schedule {schedule!r}")
     stats = SparkBuildStats()
     order = np.asarray(order, dtype=np.int64)
-    rank = rank_of(order)
+    rank = rank_of(order, g.n)
 
     t0 = time.perf_counter()
     lm = build_landmarks(g, n_landmarks) if n_landmarks > 0 else None
     stats.t_landmarks = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # The executors' Python workers need not have ``repro`` on their path,
-    # so the kernel, the 2-hop probe and the landmark class travel by value.
-    for module in (__name__, pspc_local.__name__, twohop.__name__, LandmarkIndex.__module__):
-        cloudpickle.register_pickle_by_value(sys.modules[module])
-    sc = spark.sparkContext
-    parts = sc.defaultParallelism
-    if schedule == "static":
-        blocks = np.array_split(order, parts)
-    else:
-        blocks = [order[k::parts] for k in range(parts)]
-    blocks = [(us, *pull_edges(g, us)) for us in blocks]
-    landmarks = None if lm is None else (lm.landmarks, lm.dist)
-    build = sc.broadcast((rank, landmarks, blocks))
-    tasks = spark.range(parts, numPartitions=parts)
-    schema = "vertex long, hub long, cnt double"
+    on_spark = _SparkRounds(spark, g, order, rank, lm, schedule)
+    us = np.arange(g.n, dtype=np.int64)
+    edges = (rank, *pull_edges(g, us))
+    nbrs = edges[2]
 
     def run_round(d: int, frontier: Frontier, labels: Labels) -> Emitted:
-        # destroy(), not unpersist(): only destroy deletes the broadcast's
-        # pickle file from the driver's temp directory.
-        rnd = sc.broadcast((frontier, labels))
-        try:
-            pdf = tasks.mapInPandas(_kernel(build, rnd, d), schema).toPandas()
-        finally:
-            rnd.destroy()
-        stats.round_candidates.append(len(pdf))
-        # Each task's rows come sorted; sort the round's rows across tasks.
-        u, w, cnt = pdf["vertex"].to_numpy(), pdf["hub"].to_numpy(), pdf["cnt"].to_numpy()
-        by_key = np.argsort(u * len(rank) + w)
-        return u[by_key], w[by_key], cnt[by_key]
+        # The frontier entries all vertices would pull before rank pruning.
+        spark_sized = bool(np.diff(frontier[0])[nbrs].sum() >= driver_pulls)
+        if spark_sized:
+            u, w, cnt = on_spark(d, frontier, labels)
+        else:
+            (u, w, cnt), _ = _round(us, d, edges, frontier, labels, lm)
+        stats.on_spark.append(spark_sized)
+        stats.round_candidates.append(len(u))
+        return u, w, cnt
 
     try:
         index = propagate(rank, run_round, max_rounds)
     finally:
-        build.destroy()
+        on_spark.close()
     stats.rounds = len(stats.round_candidates) - 1
     stats.t_construction = time.perf_counter() - t0
     return index, stats

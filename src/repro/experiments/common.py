@@ -53,10 +53,11 @@ def order_for(g: Graph, scheme: str, delta: int = DEFAULT_DELTA) -> np.ndarray:
 
 
 def warm_up_spark_build(spark: SparkSession, n_landmarks: int) -> None:
-    """One untimed PSPC⁺ build on a 20-vertex star, so that the first timed
-    build of a session does not pay for JVM class loading and compilation."""
+    """One untimed PSPC⁺ build on a 20-vertex star, its rounds forced onto
+    Spark, so that the first timed build of a session does not pay for JVM
+    class loading and compilation."""
     star = Graph.from_edges(np.array([[0, v] for v in range(1, 20)]), n=20, name="star20")
-    build_pspc_spark(spark, star, degree_order(star), n_landmarks=n_landmarks)
+    build_pspc_spark(spark, star, degree_order(star), n_landmarks=n_landmarks, driver_pulls=0)
 
 
 def load_datasets(codes: list[str] | None = None, scale: float = DEFAULT_SCALE) -> dict[str, Graph]:

@@ -2,11 +2,17 @@
 
 Per the paper, the reported time *includes* the ordering time (and the
 landmark phase for the variants that use it). PSPC⁺ here is the Spark
-distributed build on ``local[*]``; the two sequential algorithms are the
-driver-side engines. The paper's headline claims reproduced by this table:
-PSPC beats HP-SPC_s single-threaded on most datasets, and PSPC⁺ beats both.
+distributed build on ``local[*]``, timed twice: with its executor gate
+(``PSPC+``: rounds below ``DRIVER_ROUND_PULLS`` run on the driver) and with
+every round forced onto Spark (``PSPC+_spark``). The two sequential
+algorithms are the driver-side engines. The paper's headline claims
+reproduced by this table: PSPC beats HP-SPC_s single-threaded on most
+datasets, and PSPC⁺ beats both. ``SCALE_ROWS`` adds rows past the bench
+scale, where rounds grow large enough for Spark to pay.
 """
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -25,6 +31,13 @@ from repro.experiments.common import (
     timed,
     warm_up_spark_build,
 )
+from repro.graphgen.datasets import load
+
+
+#: (dataset, scale) rows past the bench scale: FB@1.0 has rounds on both
+#: sides of the executor gate, GW@1.0's largest rounds sit just below it,
+#: FB@3.0's far above it, and RD@1.0's 45 small rounds all below it
+SCALE_ROWS = [("FB", 1.0), ("GW", 1.0), ("RD", 1.0), ("FB", 3.0)]
 
 
 def run(
@@ -34,10 +47,15 @@ def run(
     n_landmarks: int = DEFAULT_LANDMARKS,
     delta: int = DEFAULT_DELTA,
     save: bool = True,
+    scale_rows: Sequence[tuple[str, float]] = (),
 ) -> pd.DataFrame:
+    """One row per dataset in ``codes`` at ``scale``, then one per
+    ``(dataset, scale)`` of ``scale_rows``."""
     rows = []
     warm_up_spark_build(spark, n_landmarks)
-    for code, g in load_datasets(codes, scale).items():
+    graphs = [(code, scale, g) for code, g in load_datasets(codes, scale).items()]
+    graphs += [(code, s, load(code, s)) for code, s in scale_rows]
+    for code, s, g in graphs:
         with timed() as t:
             order = order_for(g, "hybrid", delta)
         t_order = t()
@@ -55,15 +73,21 @@ def run(
             sp, _ = build_pspc_spark(spark, g, order, n_landmarks=n_landmarks)
         t_pspc_plus = t_order + t()
 
-        assert hp.sorted_tuples() == ps.sorted_tuples() == sp.sorted_tuples(), code
+        with timed() as t:
+            forced, _ = build_pspc_spark(spark, g, order, n_landmarks=n_landmarks, driver_pulls=0)
+        t_forced = t_order + t()
+
+        assert hp.sorted_tuples() == ps.sorted_tuples() == sp.sorted_tuples() == forced.sorted_tuples(), code
         rows.append(
             {
                 "dataset": code,
+                "scale": s,
                 "n": g.n,
                 "m": g.m,
                 "HP-SPC_s": round(t_hpspc, 2),
                 "PSPC": round(t_pspc, 2),
                 "PSPC+": round(t_pspc_plus, 2),
+                "PSPC+_spark": round(t_forced, 2),
                 "PSPC_vs_HP": round(t_hpspc / t_pspc, 2),
             }
         )

@@ -27,9 +27,11 @@ def test_table3(spark):
 
 
 def test_exp1_smoke(spark):
-    df = exp1_indexing_time.run(spark, codes=["GW"], scale=TINY, n_landmarks=10, save=False)
-    assert list(df["dataset"]) == ["GW"]
-    assert (df[["HP-SPC_s", "PSPC", "PSPC+"]] > 0).all().all()
+    df = exp1_indexing_time.run(
+        spark, codes=["GW"], scale=TINY, n_landmarks=10, save=False, scale_rows=[("RD", TINY)]
+    )
+    assert list(df["dataset"]) == ["GW", "RD"]
+    assert (df.loc[df["dataset"] == "GW", ["HP-SPC_s", "PSPC", "PSPC+", "PSPC+_spark"]] > 0).all().all()
 
 
 def test_exp2_smoke(spark):
@@ -85,6 +87,8 @@ def test_exp8_smoke(spark):
     df = exp8_breakdown.run(spark, codes=["YT"], scale=TINY, n_landmarks=10, save=False)
     assert (df["LC_frac"] > 0.5).all()  # label construction dominates
     assert (df["rounds"] >= 1).all()
+    # forced onto Spark: every round run, the empty last one too
+    assert (df["spark_rounds"] == df["rounds"] + 1).all() and (df["driver_rounds"] == 0).all()
 
 
 def test_results_persisted(tmp_path, monkeypatch, spark):

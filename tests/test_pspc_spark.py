@@ -2,9 +2,11 @@
 sequential engines under every schedule/landmark configuration — the paper's
 "same index for any thread count" invariant, on real distributed rounds.
 
-These run real multi-round Spark jobs, so the graphs are kept small and the
-configurations few-but-decisive.
+These graphs are small enough that the executor gate would run every round
+on the driver, so the tests pass ``driver_pulls=0`` to run real multi-round
+Spark jobs; the gate itself is tested with mixed and all-driver builds.
 """
+import math
 import os
 
 import numpy as np
@@ -28,9 +30,9 @@ def test_spark_identical_to_sequential(spark, kind, seed):
         g = small_graph(kind, seed, n=40)
     order = degree_order(g)
     hp = build_hpspc(g, order)
-    sp, stats = build_pspc_spark(spark, g, order)
+    sp, stats = build_pspc_spark(spark, g, order, driver_pulls=0)
     assert hp.sorted_tuples() == sp.sorted_tuples()
-    assert stats.rounds >= 1
+    assert stats.rounds >= 1 and all(stats.on_spark)
     assert stats.round_candidates[-1] == 0  # loop ended because frontier dried up
 
 
@@ -38,8 +40,8 @@ def test_spark_schedules_and_landmarks_same_index(spark):
     g = small_graph("ws", 1, n=36)
     order = hybrid_order(g, 3)
     ref, _ = build_pspc_local(g, order)
-    a, _ = build_pspc_spark(spark, g, order, schedule="static", n_landmarks=0)
-    b, _ = build_pspc_spark(spark, g, order, schedule="dynamic", n_landmarks=8)
+    a, _ = build_pspc_spark(spark, g, order, schedule="static", n_landmarks=0, driver_pulls=0)
+    b, _ = build_pspc_spark(spark, g, order, schedule="dynamic", n_landmarks=8, driver_pulls=0)
     assert ref.sorted_tuples() == a.sorted_tuples() == b.sorted_tuples()
 
 
@@ -62,7 +64,7 @@ def test_spark_one_job_per_round(spark):
     g = small_graph("ws", 2, n=30)
     sc.setJobGroup("pspc-spark-job-count", "build_pspc_spark job count")
     try:
-        _, stats = build_pspc_spark(spark, g, degree_order(g), n_landmarks=4)
+        _, stats = build_pspc_spark(spark, g, degree_order(g), n_landmarks=4, driver_pulls=0)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     jobs = sc.statusTracker().getJobIdsForGroup("pspc-spark-job-count")
@@ -72,15 +74,15 @@ def test_spark_one_job_per_round(spark):
 def test_spark_max_rounds_raises_instead_of_truncating(spark):
     g = path_graph(10)
     with pytest.raises(RuntimeError):
-        build_pspc_spark(spark, g, degree_order(g), max_rounds=3)
+        build_pspc_spark(spark, g, degree_order(g), max_rounds=3, driver_pulls=0)
 
 
 def test_spark_max_rounds_allows_empty_next_round(spark):
     """A star converges in one round: ``max_rounds=1`` is the full index."""
     g = Graph.from_edges(np.array([[0, v] for v in range(1, 20)]), n=20)
     order = degree_order(g)
-    one, stats = build_pspc_spark(spark, g, order, max_rounds=1)
-    full, _ = build_pspc_spark(spark, g, order)
+    one, stats = build_pspc_spark(spark, g, order, max_rounds=1, driver_pulls=0)
+    full, _ = build_pspc_spark(spark, g, order, driver_pulls=0)
     assert one.sorted_tuples() == full.sorted_tuples()
     assert stats.rounds == 1 and stats.round_candidates[-1] == 0
 
@@ -100,7 +102,7 @@ def test_degenerate_graphs_identical(spark, name, k):
     order = degree_order(g)
     hp = build_hpspc(g, order)
     ps, _ = build_pspc_local(g, order, landmarks=build_landmarks(g, k))
-    sp, _ = build_pspc_spark(spark, g, order, n_landmarks=k)
+    sp, _ = build_pspc_spark(spark, g, order, n_landmarks=k, driver_pulls=0)
     assert hp.sorted_tuples() == ps.sorted_tuples() == sp.sorted_tuples()
 
 
@@ -108,5 +110,82 @@ def test_spark_build_leaves_no_broadcast_files(spark):
     """Every broadcast of a build is destroyed, which deletes its pickle."""
     temp_dir = spark.sparkContext._temp_dir
     before = len(os.listdir(temp_dir))
-    build_pspc_spark(spark, path_graph(10), degree_order(path_graph(10)))
+    build_pspc_spark(spark, path_graph(10), degree_order(path_graph(10)), driver_pulls=0)
     assert len(os.listdir(temp_dir)) == before
+
+
+def round_pulls(g, index) -> list[int]:
+    """Per round run, the frontier entries all vertices would pull: round
+    ``d`` pulls each neighbour's labels at distance ``d - 1``."""
+    _, nbrs = g.adj()
+    per_d = np.zeros((g.n, g.n + 1), dtype=np.int64)
+    for v, m in enumerate(index.maps):
+        for d, _ in m.values():
+            per_d[v, d] += 1
+    rounds = int(np.flatnonzero(per_d.sum(axis=0)).max()) + 1  # ending with the empty round
+    return [int(per_d[nbrs, d - 1].sum()) for d in range(1, rounds + 1)]
+
+
+def test_spark_mixed_executors_identical(spark):
+    """A threshold between the smallest and the largest round sends rounds
+    of one build to both executors, and the labels do not change."""
+    g = small_graph("ws", 3, n=40)
+    order = hybrid_order(g, 3)
+    hp = build_hpspc(g, order)
+    pulls = round_pulls(g, hp)
+    assert min(pulls) < max(pulls)
+    sp, stats = build_pspc_spark(spark, g, order, n_landmarks=4, driver_pulls=max(pulls))
+    assert hp.sorted_tuples() == sp.sorted_tuples()
+    assert stats.on_spark == [p >= max(pulls) for p in pulls]
+    assert set(stats.on_spark) == {True, False}
+
+
+def test_spark_gated_small_build_starts_no_job(spark):
+    """Every round of a small graph runs on the driver: no Spark job, no
+    broadcast file, the same index as the forced-Spark build."""
+    sc = spark.sparkContext
+    temp_dir = sc._temp_dir
+    g = small_graph("ws", 2, n=30)
+    order = degree_order(g)
+    forced, _ = build_pspc_spark(spark, g, order, n_landmarks=4, driver_pulls=0)
+    before = len(os.listdir(temp_dir))
+    sc.setJobGroup("pspc-spark-gated", "build_pspc_spark on the driver")
+    try:
+        gated, stats = build_pspc_spark(spark, g, order, n_landmarks=4)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup("pspc-spark-gated") == []
+    assert len(os.listdir(temp_dir)) == before
+    assert not any(stats.on_spark)
+    assert gated.sorted_tuples() == forced.sorted_tuples()
+
+
+@pytest.mark.parametrize("driver_pulls", [0, math.inf])
+def test_spark_gate_settings_same_index(spark, driver_pulls):
+    g = small_graph("ba", 4, n=40)
+    order = hybrid_order(g, 3)
+    ref, _ = build_pspc_spark(spark, g, order, n_landmarks=4)
+    sp, stats = build_pspc_spark(spark, g, order, n_landmarks=4, driver_pulls=driver_pulls)
+    assert ref.sorted_tuples() == sp.sorted_tuples()
+    assert stats.on_spark == [driver_pulls == 0] * len(stats.round_candidates)
+
+
+BAD_ORDERS = {
+    "duplicate": [0, 0, 1, 2, 3],
+    "missing": [0, 1, 2, 3],
+    "out-of-range": [0, 1, 2, 3, 5],
+    "too-long": [0, 1, 2, 3, 4, 0],
+}
+
+
+@pytest.mark.parametrize("builder", ["hpspc", "pspc_local", "pspc_spark"])
+@pytest.mark.parametrize("bad", list(BAD_ORDERS))
+def test_builders_reject_non_permutation_order(request, builder, bad):
+    g, order = path_graph(5), np.array(BAD_ORDERS[bad])
+    build = {
+        "hpspc": lambda: build_hpspc(g, order),
+        "pspc_local": lambda: build_pspc_local(g, order),
+        "pspc_spark": lambda: build_pspc_spark(request.getfixturevalue("spark"), g, order),
+    }[builder]
+    with pytest.raises(ValueError, match="permutation"):
+        build()
