@@ -34,11 +34,12 @@ import numpy as np
 
 from repro.core.labels import LabelIndex
 from repro.core.landmark import LandmarkIndex
-from repro.core.twohop import common_hubs, gather
+from repro.core.twohop import common_hubs
+from repro.graph.csr import gather
 from repro.graph.gframe import Graph
 
 #: candidates per landmark/witness batch of one round; bounds the
-#: (landmarks × batch) bound matrix and the witness probe arrays
+#: (batch × landmarks) bound matrix and the witness probe arrays
 BATCH = 1 << 14
 
 #: ``(indptr, hub, cnt)``: the CSR of the last round's labels

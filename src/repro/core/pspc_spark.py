@@ -55,6 +55,7 @@ from repro.core import pspc_local, twohop
 from repro.core.labels import LabelIndex
 from repro.core.landmark import LandmarkIndex, build_landmarks
 from repro.core.pspc_local import Emitted, Frontier, Labels, _round, propagate, pull_edges, rank_of
+from repro.graph import csr
 from repro.graph.gframe import Graph
 
 
@@ -112,8 +113,9 @@ class _SparkRounds:
 
     def _start(self) -> None:
         # The executors' Python workers need not have ``repro`` on their path,
-        # so the kernel, the 2-hop probe and the landmark class travel by value.
-        for module in (__name__, pspc_local.__name__, twohop.__name__, LandmarkIndex.__module__):
+        # so the kernel, the 2-hop probe, the CSR gather and the landmark
+        # class travel by value.
+        for module in (__name__, pspc_local.__name__, twohop.__name__, csr.__name__, LandmarkIndex.__module__):
             cloudpickle.register_pickle_by_value(sys.modules[module])
         parts = self.spark.sparkContext.defaultParallelism
         if self.schedule == "static":

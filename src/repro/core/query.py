@@ -33,6 +33,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import twohop
 from repro.core.labels import LabelIndex
 from repro.core.twohop import common_hubs
+from repro.graph import csr
 
 INF = np.iinfo(np.int64).max
 
@@ -131,9 +132,9 @@ def _kernel(index: Broadcast):
     its ``(qid, dist, spc)`` answers."""
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        csr = index.value
+        arrays = index.value
         for pdf in batches:
-            dist, spc = _answer(csr, pdf["s"].to_numpy(np.int64), pdf["t"].to_numpy(np.int64))
+            dist, spc = _answer(arrays, pdf["s"].to_numpy(np.int64), pdf["t"].to_numpy(np.int64))
             yield pd.DataFrame({"qid": pdf["qid"], "dist": dist, "spc": spc})
 
     return run
@@ -160,15 +161,15 @@ def query_batch_spark(
     key = vertex * n + hub
     by_key = np.argsort(key)
     key = key[by_key]
-    csr = (
+    arrays = (
         np.searchsorted(key, np.arange(n + 1) * n),
         key,
         pdf["dist"].to_numpy(np.int64)[by_key],
         pdf["cnt"].to_numpy(np.float64)[by_key],
     )
     # The executors' Python workers need not have ``repro`` on their path,
-    # so the kernel and the 2-hop probe travel by value.
-    for module in (__name__, twohop.__name__):
+    # so the kernel, the 2-hop probe and its CSR gather travel by value.
+    for module in (__name__, twohop.__name__, csr.__name__):
         cloudpickle.register_pickle_by_value(sys.modules[module])
-    index = spark.sparkContext.broadcast(csr)
+    index = spark.sparkContext.broadcast(arrays)
     return queries.select("qid", "s", "t").mapInPandas(_kernel(index), "qid long, dist long, spc double")

@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR entries of ``rows``, flattened: entry ``pos[i]`` belongs to
-    ``rows[owner[i]]``; ``owner`` is non-decreasing."""
-    lens = indptr[rows + 1] - indptr[rows]
-    owner = np.repeat(np.arange(len(rows)), lens)
-    pos = np.arange(len(owner)) + np.repeat(indptr[rows] - (np.cumsum(lens) - lens), lens)
-    return owner, pos
+from repro.graph.csr import gather
 
 
 def common_hubs(

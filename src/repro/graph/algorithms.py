@@ -13,6 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from repro.graph.csr import gather
 from repro.graph.gframe import Graph
 
 UNREACHED = np.iinfo(np.int32).max
@@ -20,7 +21,8 @@ UNREACHED = np.iinfo(np.int32).max
 
 def bfs_levels(g: Graph, source: int) -> np.ndarray:
     """Distances from ``source`` to every vertex (``UNREACHED`` sentinel for
-    disconnected vertices), frontier-array BFS."""
+    disconnected vertices), frontier-array BFS: each level is one CSR gather
+    of the frontier's neighbours, of which the unseen ones are the next."""
     indptr, nbrs = g.adj()
     dist = np.full(g.n, UNREACHED, dtype=np.int32)
     dist[source] = 0
@@ -28,12 +30,9 @@ def bfs_levels(g: Graph, source: int) -> np.ndarray:
     d = 0
     while len(frontier):
         d += 1
-        # Gather all neighbours of the frontier, keep the unseen ones.
-        chunks = [nbrs[indptr[v] : indptr[v + 1]] for v in frontier]
-        nxt = np.unique(np.concatenate(chunks)) if chunks else np.array([], dtype=np.int64)
-        nxt = nxt[dist[nxt] == UNREACHED]
-        dist[nxt] = d
-        frontier = nxt
+        nxt = nbrs[gather(indptr, frontier)[1]]
+        frontier = np.unique(nxt[dist[nxt] == UNREACHED])
+        dist[frontier] = d
     return dist
 
 

@@ -19,6 +19,33 @@ def test_bfs_levels_triangle_inequality(kind, seed):
         assert abs(int(d0[u]) - int(d0[v])) <= 1
 
 
+def plain_bfs(g, source):
+    """Distances from ``source`` by a textbook queue BFS over ``neighbors``."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:
+        for u in map(int, g.neighbors(v)):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return [dist.get(v, alg.UNREACHED) for v in range(g.n)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["er", "ba", "grid"])
+def test_bfs_levels_matches_plain_bfs(kind, seed):
+    g = small_graph(kind, seed)
+    for source in (0, g.n // 2, g.n - 1):
+        assert alg.bfs_levels(g, source).tolist() == plain_bfs(g, source)
+
+
+def test_bfs_levels_isolated_vertex():
+    g = Graph.from_edges(np.array([[0, 1], [1, 2], [2, 3]]), n=5)
+    assert alg.bfs_levels(g, 1).tolist() == [1, 0, 1, 2, alg.UNREACHED]
+    assert alg.bfs_levels(g, 4).tolist() == [alg.UNREACHED] * 4 + [0]
+    assert alg.bfs_levels(g, 4).tolist() == plain_bfs(g, 4)
+
+
 def test_bfs_path_graph():
     g = path_graph(7)
     assert list(alg.bfs_levels(g, 0)) == list(range(7))

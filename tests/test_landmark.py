@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.bfs_oracle import all_pairs_spc
+from repro.core.hpspc import build_hpspc
+from repro.core import landmark
 from repro.core.landmark import build_landmarks
-from tests.util import path_graph, small_graph
+from repro.core.pspc_local import build_pspc_local
+from repro.graph.algorithms import connected_components
+from repro.ordering.degree import degree_order
+from tests.util import disjoint_union, path_graph, small_graph
 
 
 def all_bounds(lm, n):
@@ -41,7 +46,16 @@ def test_bound_matrix_matches_scalar():
     ws = rng.integers(0, g.n, 50)
     bm = lm.bound_matrix(us, ws)
     for i in range(50):
-        assert bm[i] == min(int(lm.dist[k, us[i]]) + int(lm.dist[k, ws[i]]) for k in range(lm.k))
+        assert bm[i] == min(int(lm.dist[us[i], k]) + int(lm.dist[ws[i], k]) for k in range(lm.k))
+
+
+def test_bound_matrix_blocks(monkeypatch):
+    """Blocks of 2 pairs, so the block loop runs with a ragged tail."""
+    g = small_graph("ba", 2, n=30)
+    lm = build_landmarks(g, 6)
+    whole = all_bounds(lm, g.n)
+    monkeypatch.setattr(landmark, "BLOCK", 13)
+    assert np.array_equal(all_bounds(lm, g.n), whole)
 
 
 def test_zero_landmarks_is_infinite():
@@ -49,6 +63,33 @@ def test_zero_landmarks_is_infinite():
     lm = build_landmarks(g, 0)
     assert lm.k == 0
     assert (all_bounds(lm, g.n) > 10**6).all()
+    assert all_bounds(lm, g.n).dtype == all_bounds(build_landmarks(g, 3), g.n).dtype
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cross_component_pairs_never_certified(seed):
+    """Two components with landmarks in both: a pair across them gets no
+    bound below ``n`` (the sum of two unreached sentinels neither overflows
+    nor certifies), and the filtered build still equals HP-SPC_s."""
+    g = disjoint_union(small_graph("ba", seed, n=20), small_graph("er", seed, n=20))
+    lm = build_landmarks(g, 25)
+    comp = connected_components(g)
+    assert len(np.unique(comp[lm.landmarks])) == 2
+    B = all_bounds(lm, g.n)
+    cross = comp[:, None] != comp[None, :]
+    assert (B[cross] >= g.n).all()
+    D, _ = all_pairs_spc(g)
+    assert (B[~cross] >= D[~cross]).all()
+    order = degree_order(g)
+    ps, _ = build_pspc_local(g, order, landmarks=lm)
+    assert ps.sorted_tuples() == build_hpspc(g, order).sorted_tuples()
+
+
+def test_more_landmarks_than_vertices_is_all_vertices():
+    g = small_graph("ws", 1, n=20)
+    lm, full = build_landmarks(g, g.n + 7), build_landmarks(g, g.n)
+    assert np.array_equal(lm.landmarks, full.landmarks)
+    assert np.array_equal(lm.dist, full.dist)
 
 
 def test_landmarks_are_top_degree():
