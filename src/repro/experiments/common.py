@@ -9,8 +9,11 @@ settings, shrunk to the single-node sizes of DESIGN.md §3.
 from __future__ import annotations
 
 import os
+import statistics
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
+from typing import TypeVar
 
 import numpy as np
 import pandas as pd
@@ -33,12 +36,25 @@ THREAD_COUNTS = [1, 2, 4, 8, 16, 20]
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "results")
 
+R = TypeVar("R")
+
 
 @contextmanager
 def timed():
     """``with timed() as t: ...; t()`` → elapsed seconds."""
     t0 = time.perf_counter()
     yield lambda: time.perf_counter() - t0
+
+
+def median_ms(reps: int, fn: Callable[[], R]) -> tuple[float, R]:
+    """Run ``fn`` ``reps`` times; the median wall time in ms (0.1 ms steps)
+    and the last call's result."""
+    times = []
+    for _ in range(reps):
+        with timed() as t:
+            out = fn()
+        times.append(t())
+    return round(1000 * statistics.median(times), 1), out
 
 
 def order_for(g: Graph, scheme: str, delta: int = DEFAULT_DELTA) -> np.ndarray:

@@ -16,12 +16,14 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     emit,
     load_datasets,
+    median_ms,
     order_for,
-    timed,
 )
 
 EXP7_CODES = ["FB", "GW", "WI", "YT"]
 LANDMARK_COUNTS = [0, 10, 50, 100, 200, 400]
+#: builds per landmark count; the bench-scale builds differ by a few ms
+REPS = 5
 
 
 def run(
@@ -32,18 +34,20 @@ def run(
     delta: int = DEFAULT_DELTA,
     save: bool = True,
 ) -> pd.DataFrame:
+    """One row per dataset and landmark count; ``index_ms`` is the median of
+    ``REPS`` builds (landmark BFS + label construction)."""
     rows = []
     for code, g in load_datasets(codes or EXP7_CODES, scale).items():
         order = order_for(g, "hybrid", delta)
         for k in landmark_counts or LANDMARK_COUNTS:
-            with timed() as t:
-                lm = build_landmarks(g, k) if k > 0 else None
-                index, stats = build_pspc_local(g, order, landmarks=lm)
+            t, (index, stats) = median_ms(
+                REPS, lambda: build_pspc_local(g, order, landmarks=build_landmarks(g, k) if k > 0 else None)
+            )
             rows.append(
                 {
                     "dataset": code,
                     "landmarks": k,
-                    "index_s": round(t(), 2),
+                    "index_ms": t,
                     "pruned_by_landmark": stats.pruned_by_landmark,
                     "pruned_by_query": stats.pruned_by_query,
                     "entries": index.n_entries,

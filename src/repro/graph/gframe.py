@@ -36,10 +36,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: np.ndarray, n: int | None = None, name: str = "g") -> "Graph":
-        e = _canonical(edges)
+        """Self-loops and duplicate edges are dropped. ``n`` defaults to the
+        largest id plus one; an id outside ``0..n-1`` raises ``ValueError``."""
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n is None:
             n = int(e.max()) + 1 if len(e) else 0
-        return cls(n=n, edges=e, name=name)
+        if len(e) and (e.min() < 0 or e.max() >= n):
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        return cls(n=n, edges=_canonical(e), name=name)
 
     @property
     def m(self) -> int:

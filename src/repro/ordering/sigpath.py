@@ -25,6 +25,8 @@ def sigpath_order(g: Graph) -> np.ndarray:
     """Run HP-SPC's construction with dynamic hub selection; return the hub
     order it produces (padded with remaining vertices by degree)."""
     n = g.n
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
     indptr, nbrs = g.adj()
     deg = g.degrees()
     maps: list[dict[int, int]] = [dict() for _ in range(n)]  # hub -> dist

@@ -31,7 +31,8 @@ def test_exp1_smoke(spark):
         spark, codes=["GW"], scale=TINY, n_landmarks=10, save=False, scale_rows=[("RD", TINY)]
     )
     assert list(df["dataset"]) == ["GW", "RD"]
-    assert (df.loc[df["dataset"] == "GW", ["HP-SPC_s", "PSPC", "PSPC+", "PSPC+_spark"]] > 0).all().all()
+    assert list(df["builds"]) == [exp1_indexing_time.REPS, 1]  # scale rows are built once
+    assert (df[["HP-SPC_s_ms", "PSPC_ms", "PSPC+_ms", "PSPC+_spark_ms"]] > 0).all().all()
 
 
 def test_exp2_smoke(spark):
@@ -77,6 +78,7 @@ def test_exp6_smoke():
 def test_exp7_smoke():
     df = exp7_landmarks.run(codes=["GW"], scale=TINY, landmark_counts=[0, 10, 50], save=False)
     assert len(df) == 3
+    assert (df["index_ms"] > 0).all()
     no_lm = df[df.landmarks == 0].iloc[0]
     assert no_lm["pruned_by_landmark"] == 0
     # Landmark pruning takes over work from the query path, never adds labels.

@@ -15,7 +15,7 @@ import pytest
 from repro.core.hpspc import build_hpspc
 from repro.core.landmark import build_landmarks
 from repro.core.pspc_local import build_pspc_local
-from repro.core.pspc_spark import build_pspc_spark
+from repro.core.pspc_spark import DRIVER_ROUND_PULLS, build_pspc_spark
 from repro.graph.gframe import Graph
 from repro.ordering.degree import degree_order
 from repro.ordering.hybrid import hybrid_order
@@ -169,6 +169,27 @@ def test_spark_gate_settings_same_index(spark, driver_pulls):
     assert ref.sorted_tuples() == sp.sorted_tuples()
     assert stats.on_spark == [driver_pulls == 0] * len(stats.round_candidates)
 
+
+
+def labels_per_distance(index) -> list[int]:
+    """How many labels the index holds at distance 0, 1, 2, …"""
+    return np.bincount([d for m in index.maps for d, _ in m.values()]).tolist()
+
+
+@pytest.mark.parametrize("driver_pulls", [DRIVER_ROUND_PULLS, 0])
+@pytest.mark.parametrize("kind,seed", [("er", 2), ("ba", 2), ("grid", 1)])
+def test_labels_per_distance_agree_across_engines(spark, kind, seed, driver_pulls):
+    """HP-SPC_s's labels at distance ``d`` are PSPC's round ``d``: the
+    sequential baseline matches the round counts of both PSPC engines, so a
+    divergence names the round it starts in."""
+    g = small_graph(kind, seed, n=36)
+    order = hybrid_order(g, 3)
+    per_d = labels_per_distance(build_hpspc(g, order))
+    sp, stats = build_pspc_spark(spark, g, order, n_landmarks=4, driver_pulls=driver_pulls)
+    assert per_d == [g.n] + stats.round_candidates[:-1]
+    assert stats.on_spark == [driver_pulls == 0] * len(stats.round_candidates)
+    ps, _ = build_pspc_local(g, order, landmarks=build_landmarks(g, 4))
+    assert labels_per_distance(ps) == per_d
 
 BAD_ORDERS = {
     "duplicate": [0, 0, 1, 2, 3],
