@@ -18,7 +18,9 @@ pull-based propagation (Def. 10)    a task gathers its vertices' neighbours'
                                     edge lists and frontier CSR)
 rank pruning, Label Merging,        the kernel ``pspc_local._round``, the
 landmark filtering, query pruning   same one ``build_pspc_local`` runs
-(Lemmas 3–4, §III-H)                over all vertices on the driver
+(Lemmas 3–4, §III-H)                over all vertices on the driver; a task
+                                    fills its block's rows of the witness's
+                                    hub-distance table from ``L_{<d}``
 schedule plan (§III-F)              ``static``: one contiguous rank block per
                                     task; ``dynamic``: vertices dealt to the
                                     tasks round-robin in rank order
@@ -54,7 +56,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import pspc_local, twohop
 from repro.core.labels import LabelIndex
 from repro.core.landmark import LandmarkIndex, build_landmarks
-from repro.core.pspc_local import Emitted, Frontier, Labels, _round, propagate, pull_edges, rank_of
+from repro.core.pspc_local import Emitted, Frontier, Labels, _round, hub_table, propagate, pull_edges, rank_of
 from repro.graph import csr
 from repro.graph.gframe import Graph
 
@@ -74,8 +76,8 @@ class SparkBuildStats:
 
 #: estimated frontier entries pulled per round at or above which the round
 #: runs as a Spark job. Below it the driver kernel beats a job's fixed cost;
-#: measured crossover 0.6–1.5M on 4 cores (EXPERIMENTS.md, Exp 1).
-DRIVER_ROUND_PULLS = 1_000_000
+#: measured crossover about 2.2M on 4 cores (EXPERIMENTS.md, Exp 1).
+DRIVER_ROUND_PULLS = 2_500_000
 
 
 def _kernel(build: Broadcast, rnd: Broadcast, d: int):
@@ -89,7 +91,8 @@ def _kernel(build: Broadcast, rnd: Broadcast, d: int):
         for pdf in batches:
             for b in pdf["id"].tolist():
                 us, src, dst = blocks[b]
-                (u, w, c), _ = _round(us, d, (rank, src, dst), frontier, labels, lm)
+                table = hub_table(labels, us)
+                (u, w, c), _ = _round(us, d, (rank, src, dst), frontier, labels, lm, table)
                 yield pd.DataFrame({"vertex": u, "hub": w, "cnt": c})
 
     return run
@@ -183,13 +186,13 @@ def build_pspc_spark(
     edges = (rank, *pull_edges(g, us))
     nbrs = edges[2]
 
-    def run_round(d: int, frontier: Frontier, labels: Labels) -> Emitted:
+    def run_round(d: int, frontier: Frontier, labels: Labels, table: np.ndarray | None) -> Emitted:
         # The frontier entries all vertices would pull before rank pruning.
         spark_sized = bool(np.diff(frontier[0])[nbrs].sum() >= driver_pulls)
         if spark_sized:
             u, w, cnt = on_spark(d, frontier, labels)
         else:
-            (u, w, cnt), _ = _round(us, d, edges, frontier, labels, lm)
+            (u, w, cnt), _ = _round(us, d, edges, frontier, labels, lm, table)
         stats.on_spark.append(spark_sized)
         stats.round_candidates.append(len(u))
         return u, w, cnt

@@ -41,10 +41,17 @@ INF = np.iinfo(np.int64).max
 def query_single(
     index: LabelIndex, s: int, t: int, weights: np.ndarray | None = None
 ) -> tuple[int, float]:
-    """Exact ``(dist, count)`` for one pair; ``(INF, 0)`` if no common hub."""
+    """Exact ``(dist, count)`` for one pair; ``(INF, 0)`` if no common hub
+    or an id is outside ``0..n-1``."""
     if s == t:
         return 0, 1.0
-    ls, lt = index.maps[s], index.maps[t]
+    # A negative id would wrap to the end of ``maps``; one past it raises.
+    if s < 0 or t < 0:
+        return INF, 0.0
+    try:
+        ls, lt = index.maps[s], index.maps[t]
+    except IndexError:
+        return INF, 0.0
     if len(ls) > len(lt):  # scan the smaller side, probe the larger
         ls, lt = lt, ls
     best_d, best_c = INF, 0.0

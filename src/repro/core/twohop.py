@@ -1,12 +1,16 @@
-"""The 2-hop label probe shared by the PSPC⁺ witness prune and the batch query.
+"""The 2-hop label probe of the batch query and of the Lemma 4 witness's fallback.
 
-Both the Lemma 4 witness of a PSPC⁺ round and the SPC query (Equations 1–2)
-ask the same question of a pair ``(u, w)``: which hubs do ``L(u)`` and
-``L(w)`` have in common, and with which entries? Here a label set is a CSR
-over vertices ``0..n-1``: ``indptr`` plus the entries sorted by
+The SPC query (Equations 1–2) asks of a pair ``(u, w)``: which hubs do
+``L(u)`` and ``L(w)`` have in common, and with which entries? Here a label
+set is a CSR over vertices ``0..n-1``: ``indptr`` plus the entries sorted by
 ``key = vertex * n + hub``, with per-entry columns (dist, count, ...) kept
 alongside by the caller. A probe gathers the smaller label of each pair and
 looks each of its hubs up in the other label by ``searchsorted`` on ``key``.
+
+The batch query (:mod:`repro.core.query`) always uses this probe. The
+Lemma 4 witness of a PSPC round reads a dense hub-distance table instead
+(:mod:`repro.core.pspc_local`), and asks this probe only where that table
+would not fit its memory budget.
 """
 from __future__ import annotations
 

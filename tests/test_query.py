@@ -91,6 +91,22 @@ def test_disconnected_pair_answered_alike(spark):
     assert query_single(index, 0, a) == (INF, 0.0)
 
 
+def test_out_of_range_ids_answered_alike(spark):
+    """Ids ``-1`` and ``n``: ``query_single``, the Spark batch and DuckDB
+    all answer ``(INF, 0)``, and ``(0, 1)`` when ``s == t``."""
+    g, index, _ = _index_and_pairs("er", 0)
+    n = g.n
+    pairs = np.array([[-1, 0], [0, -1], [n - 1, n], [n, 0], [-1, n], [n, -1], [-1, -1], [n, n]])
+    want = [(INF, 0.0)] * 6 + [(0, 1.0)] * 2
+    assert [query_single(index, s, t) for s, t in pairs.tolist()] == want
+    labels = index.to_pandas()
+    queries = pd.DataFrame({"qid": np.arange(len(pairs)), "s": pairs[:, 0], "t": pairs[:, 1]})
+    got = query_batch_spark(spark, spark.createDataFrame(labels), spark.createDataFrame(queries))
+    assert_equivalent(got, DUCKDB_QUERY_SQL, labels=labels, queries=queries)
+    rows = got.toPandas().sort_values("qid")
+    assert list(zip(rows["dist"].tolist(), rows["spc"].tolist())) == want
+
+
 def test_spark_batch_is_one_stage_per_job(spark):
     """The batch query is the labels collect plus one kernel job, each a
     single stage: no shuffle."""
