@@ -9,7 +9,8 @@ Exact Shortest Path Covering (Definition 2 of the paper): every shortest
 
 ``LabelIndex`` is the in-driver representation (per-vertex hub→(dist, count)
 maps, optimal for the µs-level query loop the paper times). It is built from
-the per-round label arrays of the PSPC round loop (``from_rounds``); the
+the per-round label arrays of the PSPC round loop, which run in rank space
+and are mapped back to vertex ids here (``from_rounds``); the
 relational form ``(vertex, hub, dist, cnt)`` bridges to Spark and to the
 DuckDB oracle.
 """
@@ -86,11 +87,17 @@ class LabelIndex:
         cls, rank: np.ndarray, rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     ) -> LabelIndex:
         """Build from the label arrays ``(vertex, hub, cnt)`` of distance
-        rounds ``0, 1, 2, …``, the shape the round loop produces; each map
-        lists its hubs by distance, then in row order."""
+        rounds ``0, 1, 2, …`` in rank space (vertex id = rank), the shape the
+        round loop produces; each map lists its hubs by distance, then by
+        hub id."""
         rank = np.asarray(rank)
-        maps: list[dict[int, tuple[int, float]]] = [dict() for _ in range(len(rank))]
+        n = len(rank)
+        order = np.empty(n, dtype=np.int64)
+        order[rank] = np.arange(n)
+        maps: list[dict[int, tuple[int, float]]] = [dict() for _ in range(n)]
         for d, (u, w, cnt) in enumerate(rounds):
-            for v, h, c in zip(u.tolist(), w.tolist(), cnt.tolist()):
+            u, w = order[u], order[w]
+            by = np.argsort(u * n + w)
+            for v, h, c in zip(u[by].tolist(), w[by].tolist(), cnt[by].tolist()):
                 maps[v][h] = (d, c)
-        return cls(n=len(rank), rank=rank, maps=maps)
+        return cls(n=n, rank=rank, maps=maps)

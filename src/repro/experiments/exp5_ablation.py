@@ -22,12 +22,14 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     emit,
     load_datasets,
+    median_ms,
     order_for,
-    timed,
 )
 from repro.sim.threads import simulate_index_time
 
 EXP5_CODES = ["FB", "GW", "WI", "YT"]
+#: builds per timed variant; the bench-scale builds differ by a few ms
+REPS = 5
 
 
 def run(
@@ -38,38 +40,35 @@ def run(
     delta: int = DEFAULT_DELTA,
     save: bool = True,
 ) -> pd.DataFrame:
+    """One row per dataset; every ``_ms`` column is the median of ``REPS``
+    builds."""
     rows = []
     for code, g in load_datasets(codes or EXP5_CODES, scale).items():
         order = order_for(g, "hybrid", delta)
-        # (a) landmark labeling on/off.
-        with timed() as t:
-            lm = build_landmarks(g, n_landmarks)
-            index, stats_ll = build_pspc_local(g, order, landmarks=lm)
-        t_ll = t()
-        with timed() as t:
-            build_pspc_local(g, order, landmarks=None)
-        t_nll = t()
+        # (a) landmark labeling on/off (the landmark BFS is timed with LL).
+        t_ll, (index, stats_ll) = median_ms(
+            REPS, lambda: build_pspc_local(g, order, landmarks=build_landmarks(g, n_landmarks))
+        )
+        t_nll, _ = median_ms(REPS, lambda: build_pspc_local(g, order, landmarks=None))
         # (b) schedule plans, modelled at 20 threads on the measured work.
         t20_dyn = simulate_index_time(stats_ll.work, 20, "dynamic", index.rank, g.n)
         t20_sta = simulate_index_time(stats_ll.work, 20, "static", index.rank, g.n)
         # (c) node orders (ordering time included, as in Exp 1).
-        t_orders = {}
-        for scheme in ("degree", "treedec", "hybrid"):
-            with timed() as t:
-                o = order_for(g, scheme, delta)
-                build_pspc_local(g, o, landmarks=lm)
-            t_orders[scheme] = t()
+        lm = build_landmarks(g, n_landmarks)
+        t_orders = {
+            scheme: median_ms(REPS, lambda: build_pspc_local(g, order_for(g, scheme, delta), landmarks=lm))[0]
+            for scheme in ("degree", "treedec", "hybrid")
+        }
         rows.append(
             {
                 "dataset": code,
-                "LL_s": round(t_ll, 2),
-                "NLL_s": round(t_nll, 2),
+                "LL_ms": t_ll,
+                "NLL_ms": t_nll,
                 "sched_dynamic_20t": round(t20_dyn, 0),
                 "sched_static_20t": round(t20_sta, 0),
-                "order_degree_s": round(t_orders["degree"], 2),
-                "order_treedec_s": round(t_orders["treedec"], 2),
-                "order_hybrid_s": round(t_orders["hybrid"], 2),
+                "order_degree_ms": t_orders["degree"],
+                "order_treedec_ms": t_orders["treedec"],
+                "order_hybrid_ms": t_orders["hybrid"],
             }
         )
     return emit(pd.DataFrame(rows), "exp5_ablation", save)
-

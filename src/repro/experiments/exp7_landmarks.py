@@ -35,7 +35,9 @@ def run(
     save: bool = True,
 ) -> pd.DataFrame:
     """One row per dataset and landmark count; ``index_ms`` is the median of
-    ``REPS`` builds (landmark BFS + label construction)."""
+    ``REPS`` builds (landmark BFS + label construction). ``eliminated``
+    counts pulled entries dropped before merging, and the landmark and query
+    prunes split the merged ``candidates`` that are not emitted."""
     rows = []
     for code, g in load_datasets(codes or EXP7_CODES, scale).items():
         order = order_for(g, "hybrid", delta)
@@ -48,6 +50,8 @@ def run(
                     "dataset": code,
                     "landmarks": k,
                     "index_ms": t,
+                    "eliminated": stats.eliminated,
+                    "candidates": stats.candidates_total,
                     "pruned_by_landmark": stats.pruned_by_landmark,
                     "pruned_by_query": stats.pruned_by_query,
                     "entries": index.n_entries,

@@ -1,8 +1,9 @@
 """Exp 8 (Fig 13): breakdown of PSPC⁺ indexing time into Order / LL / LC.
 
 Order = vertex ordering, LL = landmark labeling (BFS from landmarks), LC =
-label construction (the distance rounds). The paper's takeaway — LC dominates
-— is what the fractions here reproduce. Uses the Spark builder's phase
+label construction (the distance rounds), each in ms of one build. The
+paper's takeaway — LC dominates — is what the fractions here reproduce.
+Uses the Spark builder's phase
 timers; ordering is timed around the order function itself. Every round is
 forced onto Spark (``driver_pulls=0``), so LC is the distributed builder's;
 the table counts the rounds each executor ran.
@@ -44,9 +45,9 @@ def run(
         rows.append(
             {
                 "dataset": code,
-                "order_s": round(t_order, 2),
-                "LL_s": round(stats.t_landmarks, 2),
-                "LC_s": round(stats.t_construction, 2),
+                "order_ms": round(1000 * t_order, 1),
+                "LL_ms": round(1000 * stats.t_landmarks, 1),
+                "LC_ms": round(1000 * stats.t_construction, 1),
                 "LC_frac": round(stats.t_construction / total, 2),
                 "rounds": stats.rounds,
                 "spark_rounds": sum(stats.on_spark),

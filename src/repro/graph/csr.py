@@ -13,7 +13,14 @@ import numpy as np
 def gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR entries of ``rows``, flattened: entry ``pos[i]`` belongs to
     ``rows[owner[i]]``; ``owner`` is non-decreasing."""
-    lens = indptr[rows + 1] - indptr[rows]
-    owner = np.repeat(np.arange(len(rows)), lens)
-    pos = np.arange(len(owner)) + np.repeat(indptr[rows] - (np.cumsum(lens) - lens), lens)
+    return runs(indptr[rows], indptr[rows + 1] - indptr[rows])
+
+
+def runs(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``starts[k] .. starts[k] + lens[k] - 1`` of every run
+    ``k``, flattened: position ``pos[i]`` belongs to run ``owner[i]``;
+    ``owner`` is non-decreasing."""
+    # ndarray methods: the rounds of small graphs are a few µs of numpy calls.
+    owner = np.arange(len(lens)).repeat(lens)
+    pos = np.arange(len(owner)) + (starts - lens.cumsum() + lens).repeat(lens)
     return owner, pos

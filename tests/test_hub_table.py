@@ -64,7 +64,7 @@ def test_table_and_probe_same_labels_and_counters(monkeypatch, kind, setting):
     probe, probe_stats = _local(g, setting)
     assert bool(calls) == (probe_stats.candidates_total > 0)
     assert table.sorted_tuples() == probe.sorted_tuples()
-    for name in ("rounds", "candidates_total", "pruned_by_landmark", "pruned_by_query"):
+    for name in ("rounds", "eliminated", "candidates_total", "pruned_by_landmark", "pruned_by_query"):
         assert getattr(table_stats, name) == getattr(probe_stats, name), name
     assert len(table_stats.work) == len(probe_stats.work)
     assert all(np.array_equal(a, b) for a, b in zip(table_stats.work, probe_stats.work))

@@ -1,5 +1,6 @@
 """Landmark index: bound soundness (never below the true distance), tightness
-when a landmark lies on a shortest path, checked on all pairs at once."""
+when a landmark lies on a shortest path, checked on all pairs at once; and
+the bit-parallel BFS against one BFS per landmark."""
 import numpy as np
 import pytest
 
@@ -8,7 +9,8 @@ from repro.core.hpspc import build_hpspc
 from repro.core import landmark
 from repro.core.landmark import build_landmarks
 from repro.core.pspc_local import build_pspc_local
-from repro.graph.algorithms import connected_components
+from repro.graph.algorithms import bfs_levels, connected_components
+from repro.graph.gframe import Graph
 from repro.ordering.degree import degree_order
 from tests.util import disjoint_union, path_graph, small_graph
 
@@ -109,3 +111,74 @@ def test_path_graph_exact_via_landmark():
     ids = np.arange(9)
     assert (all_bounds(lm, 9) == np.abs(ids[:, None] - ids[None, :])).all()
 
+
+
+def per_landmark_bfs(g, landmarks):
+    """The ``(n, k)`` table by one ``bfs_levels`` per landmark."""
+    cols = [np.minimum(bfs_levels(g, int(v)), landmark.FAR) for v in landmarks]
+    return np.stack(cols, axis=1).astype(np.int32) if cols else np.empty((g.n, 0), dtype=np.int32)
+
+
+def top_degree(g, k):
+    return np.lexsort((np.arange(g.n), -g.degrees()))[: min(k, g.n)]
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("kind", ["er", "ba", "grid"])
+def test_bit_parallel_bfs_equals_per_landmark_bfs(kind, k):
+    """One word per 64 landmarks: k = 63, 64, 65 straddle a word edge."""
+    g = small_graph(kind, 1, n=150)
+    lm = build_landmarks(g, k)
+    assert np.array_equal(lm.landmarks, top_degree(g, k))
+    assert lm.dist.dtype == np.int32 and lm.dist.flags.c_contiguous
+    assert np.array_equal(lm.dist, per_landmark_bfs(g, lm.landmarks))
+
+
+@pytest.mark.parametrize("kind", ["er", "ba", "grid"])
+def test_bit_parallel_bfs_more_landmarks_than_vertices(kind):
+    g = small_graph(kind, 2, n=40)
+    lm = build_landmarks(g, g.n + 70)
+    assert lm.k == g.n
+    assert np.array_equal(lm.dist, per_landmark_bfs(g, lm.landmarks))
+
+
+def scattered_isolated(g, extra: int, seed: int) -> Graph:
+    """``g`` relabelled into ``g.n + extra`` ids, leaving ``extra`` isolated
+    vertices among them, the first and the last id included."""
+    n = g.n + extra
+    ids = np.random.default_rng(seed).permutation(np.arange(1, n - 1))[: g.n]
+    return Graph.from_edges(ids[g.edges], n=n)
+
+
+@pytest.mark.parametrize("k", [5, 64, 80])
+def test_bit_parallel_bfs_isolated_vertices(k):
+    """An isolated vertex has an empty CSR row, where ``reduceat`` would
+    read the next row's first entry, and the last one starts at the end of
+    the neighbour array. With k = 80 every vertex is a landmark, isolated
+    ones included."""
+    g = scattered_isolated(small_graph("ba", 3, n=70), 10, seed=k)
+    assert g.degrees()[0] == g.degrees()[-1] == 0
+    lm = build_landmarks(g, k)
+    ref = per_landmark_bfs(g, lm.landmarks)
+    assert np.array_equal(lm.dist, ref)
+    isolated = np.flatnonzero(g.degrees() == 0)
+    assert (lm.dist[isolated][lm.dist[isolated] != 0] == landmark.FAR).all()
+
+
+@pytest.mark.parametrize("k", [3, 64, 70])
+def test_bit_parallel_bfs_two_components(k):
+    g = disjoint_union(small_graph("er", 4, n=40), small_graph("grid", 4, n=30))
+    lm = build_landmarks(g, k)
+    comp = connected_components(g)
+    assert np.array_equal(lm.dist, per_landmark_bfs(g, lm.landmarks))
+    far = comp[:, None] != comp[lm.landmarks][None, :]
+    assert far.any() and (lm.dist[far] == landmark.FAR).all() and (lm.dist[~far] < g.n).all()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 65])
+def test_bit_parallel_bfs_tiny_graphs(n, k):
+    g = Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=n)
+    lm = build_landmarks(g, k)
+    assert lm.dist.shape == (n, min(k, n)) and lm.dist.dtype == np.int32
+    assert np.array_equal(lm.dist, per_landmark_bfs(g, lm.landmarks))

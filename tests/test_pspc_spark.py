@@ -115,15 +115,15 @@ def test_spark_build_leaves_no_broadcast_files(spark):
 
 
 def round_pulls(g, index) -> list[int]:
-    """Per round run, the frontier entries all vertices would pull: round
-    ``d`` pulls each neighbour's labels at distance ``d - 1``."""
-    _, nbrs = g.adj()
-    per_d = np.zeros((g.n, g.n + 1), dtype=np.int64)
-    for v, m in enumerate(index.maps):
-        for d, _ in m.values():
-            per_d[v, d] += 1
-    rounds = int(np.flatnonzero(per_d.sum(axis=0)).max()) + 1  # ending with the empty round
-    return [int(per_d[nbrs, d - 1].sum()) for d in range(1, rounds + 1)]
+    """Per round run, the frontier entries all vertices pull past rank
+    pruning: round ``d`` pulls each neighbour's labels at distance ``d - 1``
+    whose hub ranks above the puller (Lemma 3)."""
+    rank = index.rank
+    pulls = [0] * (max(d for m in index.maps for d, _ in m.values()) + 1)  # ending with the empty round
+    for u, v in g.symmetric_edges().tolist():
+        for w, (d, _) in index.maps[v].items():
+            pulls[d] += bool(rank[w] < rank[u])
+    return pulls
 
 
 def test_spark_mixed_executors_identical(spark):
