@@ -2,8 +2,8 @@
 from repro.experiments import exp4_speedup
 
 
-def test_bench_exp4_speedup(benchmark):
+def test_bench_exp4_speedup(spark, benchmark):
     df = benchmark.pedantic(
-        lambda: exp4_speedup.run(scale=0.5), rounds=1, iterations=1
+        lambda: exp4_speedup.run(spark, scale=0.5), rounds=1, iterations=1
     )
     assert set(df["dataset"]) == {"FB", "GO", "GW", "WI"}

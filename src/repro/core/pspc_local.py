@@ -253,6 +253,7 @@ def _round(
     lm: LandmarkIndex | None,
     table: np.ndarray | None,
     weights: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
 ) -> tuple[Emitted, Counters]:
     """The labels at distance ``d`` of the vertices ``us``, as arrays
     ``(vertex, hub, cnt)`` sorted by (position in ``us``, hub), and the
@@ -263,16 +264,21 @@ def _round(
     ``table`` is ``hub_table(labels, us)`` or ``None`` for the 2-hop probe.
     ``weights`` are the multiplicities of the equivalence reduction (§IV-B),
     by rank: extending a path through a neighbour ``v`` that is not its hub
-    scales its count by ``weights[v]``.
+    scales its count by ``weights[v]``. ``lengths`` is ``pull_lengths(frontier,
+    us[src], v)`` where the caller has counted it already.
     """
     src, v = edges
     f_indptr, _, f_hub, f_cnt = frontier
     n = len(f_indptr) - 1
     # Pull (Def. 10) with Lemma 3: the prefix of each neighbour's round-(d-1)
     # row whose hubs rank above the puller.
-    j, p = runs(f_indptr[v], pull_lengths(frontier, us[src], v))
+    if lengths is None:
+        lengths = pull_lengths(frontier, us[src], v)
+    j, p = runs(f_indptr[v], lengths)
     owner, w, c = src[j], f_hub[p], f_cnt[p]
-    pulls = np.bincount(owner, minlength=len(us))
+    # Summed per edge, not per entry: a round pulls far more entries than it
+    # has edges. The float sums are exact below 2^53.
+    pulls = np.bincount(src, weights=lengths, minlength=len(us)).astype(np.int64)
     if weights is not None:
         v = v[j]
         c = np.where(w == v, c, c * weights[v])

@@ -1,4 +1,5 @@
-"""PSPC⁺ — the parallel label construction, one Spark job per large distance round.
+"""PSPC⁺ — the parallel label construction: mid-size distance rounds on driver
+threads, large ones as one Spark job each.
 
 This is the reproduction's realization of the paper's multi-thread algorithm
 as distributed dataflow (the ``repro`` target). It is the round loop of
@@ -33,11 +34,23 @@ round barrier                       the job's ``toPandas``: its rows are the
 executor gate (the barrier's cost   before each round, the frontier entries
 kept below the round's work)        all vertices pull past rank pruning,
                                     exactly: one ``searchsorted`` per edge
-                                    (``pspc_local.pull_lengths``); below
-                                    ``DRIVER_ROUND_PULLS`` the round runs the
-                                    kernel over all vertices on the driver,
-                                    as ``build_pspc_local`` does, and at or
-                                    above it as one Spark job
+                                    (``pspc_local.pull_lengths``, whose
+                                    per-edge lengths the driver kernels
+                                    reuse); below :data:`THREAD_ROUND_PULLS`
+                                    the round runs the kernel over all
+                                    vertices on one driver thread, as
+                                    ``build_pspc_local`` does; below
+                                    :data:`DRIVER_ROUND_PULLS` on the
+                                    driver's thread pool; at or above it as
+                                    one Spark job
+multi-thread round (§III-F,         the thread pool: ``parallelism``
+Theorem 3)                          contiguous rank blocks, one kernel call
+                                    each on a driver thread, reading its rows
+                                    of the round loop's hub-distance table as
+                                    a view; the blocks' labels, concatenated
+                                    in block order, are sorted by (vertex,
+                                    hub), and the futures' results are the
+                                    barrier
 ==================================  =========================================
 
 Like ``build_pspc_local``, the build runs in rank space (vertex id = rank):
@@ -45,18 +58,23 @@ the blocks, the broadcast edge lists and landmark table, and every label a
 task returns use ranks, and ``propagate`` maps the index back to vertex ids
 once.
 
-A Spark job costs 0.12–0.23 s however little its round computes, where the
+A Spark job costs 0.12–0.5 s however little its round computes, where the
 paper's thread barrier costs microseconds; the gate keeps that fixed cost off
-rounds too small to repay it. The result is bit-identical to the sequential
-engines regardless of parallelism and of which executor ran which round —
-the paper's Exp 2 invariant, enforced by tests.
+rounds too small to repay it. The thread pool's barrier is cheap, but the
+interpreter lock serializes the kernel's Python steps and the numpy calls
+that keep it, so each extra thread costs a round 0.2–0.8 ms; the thread gate
+keeps rounds too small to repay that on one thread. The result is
+bit-identical to the sequential engines regardless of parallelism and of
+which executor ran which round — the paper's Exp 2 invariant, enforced by
+tests.
 """
 from __future__ import annotations
 
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -95,15 +113,22 @@ class SparkBuildStats(BuildStats):
     round_candidates: list[int] = field(default_factory=list)
     #: whether each round run ran as a Spark job (else on the driver)
     on_spark: list[bool] = field(default_factory=list)
+    #: whether each round run ran on the driver's thread pool
+    threaded: list[bool] = field(default_factory=list)
     t_landmarks: float = 0.0
     t_construction: float = 0.0
 
 
 #: frontier entries pulled past rank pruning per round at or above which the
-#: round runs as a Spark job. Below it the driver kernel beats a job's fixed
-#: cost; measured crossover between 4.0M and 4.3M on 4 cores (EXPERIMENTS.md,
+#: round runs as a Spark job. Below it the driver's thread pool beats a job's
+#: fixed cost; measured crossover between 18.6M and 19.3M on 4 cores
+#: (EXPERIMENTS.md, Exp 1).
+DRIVER_ROUND_PULLS = 19_000_000
+#: pulls per round at or above which a driver round runs on the thread pool.
+#: Below it the interpreter lock's serial share costs more than the threads
+#: save; measured crossover between 30k and 50k on 4 cores (EXPERIMENTS.md,
 #: Exp 1).
-DRIVER_ROUND_PULLS = 4_200_000
+THREAD_ROUND_PULLS = 50_000
 
 #: the ``vertex`` of a task's output row that carries a count, not a label:
 #: ``hub`` is then the vertex whose pulls are ``cnt``, or the index of the
@@ -143,6 +168,7 @@ class _SparkRounds:
     adj: Adjacency  # in rank space, as every id of the rounds
     lm: LandmarkIndex | None
     schedule: str
+    parts: Callable[[], int]
     build: Broadcast | None = None
     tasks: DataFrame | None = None
 
@@ -152,7 +178,7 @@ class _SparkRounds:
         # class travel by value.
         for module in (__name__, pspc_local.__name__, twohop.__name__, csr.__name__, LandmarkIndex.__module__):
             cloudpickle.register_pickle_by_value(sys.modules[module])
-        parts = self.spark.sparkContext.defaultParallelism
+        parts = self.parts()
         ids = np.arange(len(self.adj[0]) - 1, dtype=np.int64)  # vertex id = rank
         if self.schedule == "static":
             blocks = np.array_split(ids, parts)
@@ -190,6 +216,59 @@ class _SparkRounds:
             self.build.destroy()
 
 
+@dataclass
+class _ThreadRounds:
+    """Rounds run on a driver thread pool, one kernel call per contiguous
+    rank block. The pool and the blocks are made at the first such round, so
+    a build whose rounds are all small starts no thread."""
+
+    adj: Adjacency  # in rank space, as every id of the rounds
+    lm: LandmarkIndex | None
+    parts: Callable[[], int]
+    pool: ThreadPoolExecutor | None = None
+    #: per block: its vertices, their rows of the hub-distance table, the
+    #: span of their edges in ``pull_edges`` over all vertices, and those
+    #: edges as the kernel takes them
+    blocks: list[tuple[np.ndarray, slice, slice, tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
+
+    def _start(self) -> None:
+        indptr = self.adj[0]
+        n = len(indptr) - 1
+        # Block k holds the ranks n*k//parts up to n*(k+1)//parts. With at
+        # most n blocks none is empty, except the one block of n = 0.
+        parts = max(1, min(self.parts(), n))
+        bounds = [n * k // parts for k in range(parts + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            us = np.arange(lo, hi, dtype=np.int64)  # vertex id = rank
+            self.blocks.append((us, slice(lo, hi), slice(indptr[lo], indptr[hi]), pull_edges(self.adj, us)))
+        self.pool = ThreadPoolExecutor(len(self.blocks), thread_name_prefix="pspc-round")
+
+    def __call__(
+        self, d: int, frontier: Frontier, labels: Labels, table: np.ndarray | None, lengths: np.ndarray
+    ) -> tuple[Emitted, Counters]:
+        """Round ``d`` over all vertices; ``lengths`` are the gate's
+        ``pull_lengths`` over all edges."""
+        if self.pool is None:
+            self._start()
+        futures = [
+            self.pool.submit(
+                _round, us, d, edges, frontier, labels, self.lm,
+                None if table is None else table[rows], lengths=lengths[span],
+            )
+            for us, rows, span, edges in self.blocks
+        ]
+        results = [f.result() for f in futures]
+        # Each block's labels are sorted by (vertex, hub), and the blocks
+        # follow each other in rank order.
+        emitted = tuple(np.concatenate(col) for col in zip(*(e for e, _ in results)))
+        *counts, pulls = zip(*(c for _, c in results))
+        return emitted, (*map(sum, counts), np.concatenate(pulls))
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+
+
 def build_pspc_spark(
     spark: SparkSession,
     g: Graph,
@@ -198,20 +277,26 @@ def build_pspc_spark(
     schedule: str = "dynamic",
     max_rounds: int = 256,
     driver_pulls: float = DRIVER_ROUND_PULLS,
+    parallelism: int | None = None,
 ) -> tuple[LabelIndex, SparkBuildStats]:
     """Build the ESPC index with distance-round distributed propagation.
 
     Parameters mirror the paper's knobs: ``n_landmarks`` (0 disables the LL
-    phase), ``schedule`` ∈ {"static", "dynamic"} (§III-F), and the vertex
-    ``order`` computed by any scheme in :mod:`repro.ordering`. A round whose
-    vertices pull fewer than ``driver_pulls`` frontier entries past rank
-    pruning runs on the driver; ``0`` runs every round as a Spark job,
-    ``math.inf`` none.
+    phase), ``schedule`` ∈ {"static", "dynamic"} (§III-F), the vertex
+    ``order`` computed by any scheme in :mod:`repro.ordering`, and
+    ``parallelism``, the blocks a round is split into, on driver threads or
+    as Spark tasks (default: ``defaultParallelism``). A round whose vertices
+    pull fewer than ``driver_pulls`` frontier entries past rank pruning runs
+    on the driver, on one thread below :data:`THREAD_ROUND_PULLS` and on
+    ``parallelism`` threads from it; ``driver_pulls=0`` runs every round as
+    a Spark job, ``math.inf`` none.
     Raises ``RuntimeError`` if round ``max_rounds + 1`` still emits labels,
     instead of returning a partial index.
     """
     if schedule not in ("static", "dynamic"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    if parallelism is not None and parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, not {parallelism}")
     stats = SparkBuildStats()
     order, rank, adj = rank_space(g, order)
 
@@ -221,26 +306,40 @@ def build_pspc_spark(
 
     t0 = time.perf_counter()
     lm = ranked_landmarks(lm, order, rank)
-    on_spark = _SparkRounds(spark, adj, lm, schedule)
+
+    def parts() -> int:
+        # Asked only by the first threaded or Spark round: each read of
+        # defaultParallelism is a call into the JVM.
+        return spark.sparkContext.defaultParallelism if parallelism is None else parallelism
+
+    on_spark = _SparkRounds(spark, adj, lm, schedule, parts)
+    on_threads = _ThreadRounds(adj, lm, parts)
     us = np.arange(g.n, dtype=np.int64)
     edges = pull_edges(adj, us)
 
     def run_round(d: int, frontier: Frontier, labels: Labels, table: np.ndarray | None) -> Emitted:
-        # The frontier entries all vertices pull past rank pruning (``us`` is
-        # every id, so ``edges`` starts with the pullers).
-        spark_sized = bool(pull_lengths(frontier, *edges).sum() >= driver_pulls)
+        # The frontier entries each edge's puller keeps past rank pruning
+        # (``us`` is every id, so ``edges`` starts with the pullers).
+        lengths = pull_lengths(frontier, *edges)
+        pulls = lengths.sum()
+        spark_sized = bool(pulls >= driver_pulls)
+        threaded = not spark_sized and bool(pulls >= THREAD_ROUND_PULLS)
         if spark_sized:
             emitted, counters = on_spark(d, frontier, labels)
+        elif threaded:
+            emitted, counters = on_threads(d, frontier, labels, table, lengths)
         else:
-            emitted, counters = _round(us, d, edges, frontier, labels, lm, table)
+            emitted, counters = _round(us, d, edges, frontier, labels, lm, table, lengths=lengths)
         stats.add(counters, rank)
         stats.on_spark.append(spark_sized)
+        stats.threaded.append(threaded)
         stats.round_candidates.append(len(emitted[0]))
         return emitted
 
     try:
         index = propagate(rank, run_round, max_rounds)
     finally:
+        on_threads.close()
         on_spark.close()
     stats.rounds = len(stats.work) - 1  # work ends with the empty round
     stats.t_construction = time.perf_counter() - t0

@@ -4,9 +4,10 @@ Per the paper, the reported time *includes* the ordering time (and the
 landmark phase for the variants that use it). Times are in milliseconds, the
 median of ``REPS`` builds on a bench-scale row and one build on a
 ``SCALE_ROWS`` row. PSPC⁺ here is the Spark distributed build on
-``local[*]``, timed twice: with its executor gate (``PSPC+``: rounds below
-``DRIVER_ROUND_PULLS`` run on the driver) and with every round forced onto
-Spark (``PSPC+_spark``). The two sequential algorithms are the driver-side
+``local[*]``, timed twice: with its executor gates (``PSPC+``: rounds below
+``DRIVER_ROUND_PULLS`` run on the driver, on its thread pool from
+``THREAD_ROUND_PULLS``) and with every round forced onto Spark
+(``PSPC+_spark``). The two sequential algorithms are the driver-side
 engines. The paper's headline claims reproduced by this table: PSPC beats
 HP-SPC_s single-threaded on most datasets, and PSPC⁺ beats both.
 ``SCALE_ROWS`` adds rows past the bench scale, where rounds grow large
@@ -36,9 +37,10 @@ from repro.experiments.common import (
 from repro.graphgen.datasets import load
 
 
-#: (dataset, scale) rows past the bench scale: FB@1.0 has rounds on both
-#: sides of the executor gate, GW@1.0's largest rounds sit just below it,
-#: FB@3.0's far above it, and RD@1.0's 45 small rounds all below it
+#: (dataset, scale) rows past the bench scale: FB@1.0 and GW@1.0 run their
+#: mid-size rounds on the driver's thread pool, RD@1.0's 45 small rounds all
+#: on one thread, and FB@3.0's largest rounds (7.8M and 11.0M pulls), which
+#: Spark won against one driver thread, on the pool
 SCALE_ROWS = [("FB", 1.0), ("GW", 1.0), ("RD", 1.0), ("FB", 3.0)]
 #: builds per engine on a bench-scale row (tens of ms each, so one build
 #: cannot separate the engines); a ``SCALE_ROWS`` row builds once

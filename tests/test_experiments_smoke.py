@@ -53,11 +53,14 @@ def test_exp3_smoke(spark):
     assert (df["us_20t_model"] < df["us_seq"]).all()
 
 
-def test_exp4_smoke():
-    df = exp4_speedup.run(codes=["FB", "GW"], scale=TINY, n_landmarks=10, n_queries=500, save=False)
+def test_exp4_smoke(spark):
+    df = exp4_speedup.run(spark, codes=["FB", "GW"], scale=TINY, n_landmarks=10, n_queries=500, save=False)
     assert set(df["threads"]) == {1, 2, 4, 8, 16, 20}
     base = df[df.threads == 1]
-    assert (base["index_speedup"] == 1.0).all()
+    assert (base["index_speedup"] == 1.0).all() and (base["measured_index_speedup"] == 1.0).all()
+    measured = df["threads"].isin(exp4_speedup.MEASURED_THREADS)
+    assert (df.loc[measured, "measured_lc_ms"] > 0).all()
+    assert df.loc[~measured, ["measured_lc_ms", "measured_index_speedup"]].isna().all().all()
     for code in ("FB", "GW"):
         sub = df[df.dataset == code].sort_values("threads")
         assert sub["index_speedup"].is_monotonic_increasing
