@@ -9,11 +9,10 @@ elimination order — exactly the sweep of Exp 6.
 """
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.graph.gframe import Graph
+from repro.ordering.treedec import elimination_order
 
 
 def hybrid_order(g: Graph, delta: int = 5) -> np.ndarray:
@@ -21,36 +20,7 @@ def hybrid_order(g: Graph, delta: int = 5) -> np.ndarray:
     desc, then fringe by reverse elimination order among themselves."""
     deg = g.degrees()
     core = np.flatnonzero(deg > delta)
-    fringe_mask = deg <= delta
     core_sorted = core[np.lexsort((core, -deg[core]))]
-
     # Min-degree elimination on the fringe-induced subgraph; core vertices
     # act as absent (paths through the core belong to the core's order).
-    adj: list[set[int]] = [
-        {int(u) for u in g.neighbors(v) if fringe_mask[u]} if fringe_mask[v] else set()
-        for v in range(g.n)
-    ]
-    alive = fringe_mask.copy()
-    heap = [(len(adj[v]), int(v)) for v in np.flatnonzero(fringe_mask)]
-    heapq.heapify(heap)
-    eliminated: list[int] = []
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if not alive[v] or dv != len(adj[v]):
-            continue
-        alive[v] = False
-        eliminated.append(v)
-        ns = [u for u in adj[v] if alive[u]]
-        for u in ns:
-            adj[u].discard(v)
-        for i, a in enumerate(ns):
-            for b in ns[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        for u in ns:
-            heapq.heappush(heap, (len(adj[u]), u))
-    fringe_sorted = np.asarray(eliminated[::-1], dtype=np.int64)
-    order = np.concatenate([core_sorted, fringe_sorted]).astype(np.int64)
-    assert len(order) == g.n
-    return order
+    return np.concatenate([core_sorted, elimination_order(g, mask=deg <= delta)])

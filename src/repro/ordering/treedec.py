@@ -22,14 +22,17 @@ import numpy as np
 from repro.graph.gframe import Graph
 
 
-def elimination_order(g: Graph, max_fill_degree: int | None = None) -> np.ndarray:
+def elimination_order(g: Graph, max_fill_degree: int | None = None, mask: np.ndarray | None = None) -> np.ndarray:
     """Min-degree elimination; returns ``order[i]`` = vertex of rank ``i``.
 
-    Rank 0 is the last-eliminated (most central) vertex.
+    Rank 0 is the last-eliminated (most central) vertex. With a vertex
+    ``mask``, the elimination runs on the subgraph the masked vertices
+    induce, and the order holds those vertices only.
     """
-    adj: list[set[int]] = [set(map(int, g.neighbors(v))) for v in range(g.n)]
-    alive = np.ones(g.n, dtype=bool)
-    heap = [(len(adj[v]), v) for v in range(g.n)]
+    alive = np.ones(g.n, dtype=bool) if mask is None else np.array(mask, dtype=bool)
+    adj: list[set[int]] = [{int(u) for u in g.neighbors(v) if alive[u]} if alive[v] else set() for v in range(g.n)]
+    todo = np.flatnonzero(alive)
+    heap = [(len(adj[v]), int(v)) for v in todo]
     heapq.heapify(heap)
     eliminated: list[int] = []
     while heap:
@@ -56,5 +59,5 @@ def elimination_order(g: Graph, max_fill_degree: int | None = None) -> np.ndarra
         for u in ns:
             heapq.heappush(heap, (len(adj[u]), u))
     order = np.asarray(eliminated[::-1], dtype=np.int64)
-    assert len(order) == g.n
+    assert len(order) == len(todo)
     return order

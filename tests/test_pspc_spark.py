@@ -1,5 +1,5 @@
 """PSPC⁺ (Spark distributed builder): the index must be bit-identical to the
-sequential engines under every schedule/landmark configuration — the paper's
+sequential engines with and without landmarks — the paper's
 "same index for any thread count" invariant, on real distributed rounds.
 
 These graphs are small enough that the executor gate would run every round
@@ -36,12 +36,12 @@ def test_spark_identical_to_sequential(spark, kind, seed):
     assert stats.round_candidates[-1] == 0  # loop ended because frontier dried up
 
 
-def test_spark_schedules_and_landmarks_same_index(spark):
+def test_spark_with_and_without_landmarks_same_index(spark):
     g = small_graph("ws", 1, n=36)
     order = hybrid_order(g, 3)
     ref, _ = build_pspc_local(g, order)
-    a, _ = build_pspc_spark(spark, g, order, schedule="static", n_landmarks=0, driver_pulls=0)
-    b, _ = build_pspc_spark(spark, g, order, schedule="dynamic", n_landmarks=8, driver_pulls=0)
+    a, _ = build_pspc_spark(spark, g, order, n_landmarks=0, driver_pulls=0)
+    b, _ = build_pspc_spark(spark, g, order, n_landmarks=8, driver_pulls=0)
     assert ref.sorted_tuples() == a.sorted_tuples() == b.sorted_tuples()
 
 
@@ -50,12 +50,6 @@ def test_spark_restores_shuffle_partitions(spark):
     g = small_graph("er", 5, n=25)
     build_pspc_spark(spark, g, degree_order(g))
     assert spark.conf.get("spark.sql.shuffle.partitions") == before
-
-
-def test_spark_rejects_bad_schedule(spark):
-    g = small_graph("er", 5, n=20)
-    with pytest.raises(ValueError):
-        build_pspc_spark(spark, g, degree_order(g), schedule="magic")
 
 
 def test_spark_one_job_per_round(spark):
@@ -85,6 +79,17 @@ def test_spark_max_rounds_allows_empty_next_round(spark):
     full, _ = build_pspc_spark(spark, g, order, driver_pulls=0)
     assert one.sorted_tuples() == full.sorted_tuples()
     assert stats.rounds == 1 and stats.round_candidates[-1] == 0
+
+
+def test_spark_indexes_long_diameter_graphs(spark):
+    """A 300-vertex path needs 298 productive rounds; the default
+    ``max_rounds`` bounds them by ``n``, as ``build_pspc_local`` does."""
+    g = path_graph(300)
+    order = degree_order(g)
+    local, _ = build_pspc_local(g, order)
+    sp, stats = build_pspc_spark(spark, g, order)
+    assert sp.sorted_tuples() == local.sorted_tuples()
+    assert stats.rounds == 298 and stats.round_candidates[-1] == 0
 
 
 DEGENERATE = {

@@ -1,8 +1,9 @@
 """PSPC⁺'s thread tier: a driver round at or above ``THREAD_ROUND_PULLS``
 runs the round kernel on a thread pool, one contiguous rank block per
-thread. The labels, every map's order, the counters and the work log must
-equal the one-thread engine's for any block count, and the pool must leave
-no thread, Spark job or broadcast file behind.
+thread; a Spark round runs the same blocks as tasks. The labels, every map's
+order, the counters and the work log must equal the one-thread engine's for
+any block count on either executor, and the pool must leave no thread, Spark
+job or broadcast file behind.
 
 The test graphs' rounds pull far fewer entries than the real gate, so the
 tests force the tier by setting the gate to 0 and keep Spark out with
@@ -60,16 +61,34 @@ def test_threaded_rounds_equal_one_thread(spark, monkeypatch, threads_always, or
     assert_same_counts(local_stats, stats)
 
 
-@pytest.mark.parametrize("parallelism", [1, 4, 8])
-@pytest.mark.parametrize("name", list(DEGENERATE))
-def test_threaded_degenerate_graphs(spark, threads_always, name, parallelism):
-    """n = 0, n = 1 and isolated vertices: no more blocks than vertices, and
-    the index is every other engine's."""
-    g = DEGENERATE[name]
+#: per graph, the landmarks its builds use; the connected graphs are small,
+#: because a Spark round pays for every task it starts
+BLOCK_GRAPHS = {
+    **{name: (g, 0) for name, g in DEGENERATE.items()},
+    **{kind: (small_graph(kind, 2, n=20), 4) for kind in ("er", "ba", "grid")},
+}
+#: the executor a round's blocks run on, and their number: 1 block, uneven
+#: splits and more blocks than vertices (no graph has more than 20)
+EXECUTORS = [pytest.param("threads", p, id=str(p)) for p in (1, 4, 8)] + [
+    pytest.param("spark", p, id=f"spark-{p}") for p in (1, 3, 25)
+]
+
+
+@pytest.mark.parametrize("executor,parallelism", EXECUTORS)
+@pytest.mark.parametrize("name", list(BLOCK_GRAPHS))
+def test_threaded_degenerate_graphs(spark, threads_always, name, executor, parallelism):
+    """n = 0, n = 1, isolated vertices and small connected graphs, every
+    round's blocks on the thread pool or as Spark tasks: no more blocks than
+    vertices, and the index, every map's order, the counters and the work
+    log are the one-thread engine's."""
+    g, k = BLOCK_GRAPHS[name]
     order = degree_order(g)
-    local, local_stats = build_pspc_local(g, order)
-    index, stats = _threaded(spark, g, order, 0, parallelism)
-    assert all(stats.threaded)
+    local, local_stats = build_pspc_local(g, order, landmarks=build_landmarks(g, k) if k else None)
+    on_spark = executor == "spark"
+    index, stats = build_pspc_spark(
+        spark, g, order, n_landmarks=k, driver_pulls=0 if on_spark else math.inf, parallelism=parallelism
+    )
+    assert all(stats.on_spark) if on_spark else all(stats.threaded)
     assert index.sorted_tuples() == local.sorted_tuples() == build_hpspc(g, order).sorted_tuples()
     assert items(index) == items(local)
     assert_same_counts(local_stats, stats)
